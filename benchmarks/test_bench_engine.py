@@ -64,6 +64,13 @@ MAX_NETWORK_TER_SECONDS = env_float("REPRO_BENCH_MAX_NETWORK_TER_SECONDS", 1.0)
 #: regression (an accidental re-simulation lands at multiple seconds).
 MAX_SERVE_WARM_SECONDS = env_float("REPRO_BENCH_MAX_SERVE_WARM_SECONDS", 1.0)
 
+#: Floor on how much cheaper a cache hit is than a cold ``vector`` run
+#: of the canonical batch.  On the 2-core reference host this measured
+#: 5.0-5.6x while each deserializer indexed the lazy ``NpzFile`` (a
+#: zip-member read per corner and field) and 10.5-14.8x once every
+#: member is read once; the floor sits below the noisiest observation.
+MIN_CACHE_HIT_SPEEDUP = 8.0
+
 #: Conv-layer operand shapes of the ``micro`` bundle with full pixel
 #: streams (no sub-sampling): the canonical backend-comparison workload.
 MICRO_STREAM_SHAPES = (
@@ -266,25 +273,39 @@ def test_bench_engine_cache_hits(benchmark, tmp_path):
     # statement about the backend, not the cache.
     jobs = micro_stream_jobs()
     engine = SimEngine(backend="vector", cache_dir=tmp_path)
-    t_cold = timed(engine.run_many, jobs, repeats=1)
+
+    def measure():
+        engine.cache.clear()
+        cold = timed(engine.run_many, jobs, repeats=1)
+        return cold, timed(engine.run_many, jobs, repeats=5)
+
+    t_cold, t_warm = first = measure()
     assert engine.stats.misses == len(jobs)
     run_once(benchmark, engine.run_many, jobs)
     assert engine.stats.hits >= len(jobs)
-    t_warm = timed(engine.run_many, jobs)
-    record_bench(
-        "cache",
-        {
-            "cold_s": round(t_cold, 4),
-            "warm_s": round(t_warm, 4),
-            "hit_speedup": round(t_cold / t_warm, 1),
-        },
+    payload = {"asserted_min_hit_speedup": MIN_CACHE_HIT_SPEEDUP}
+    if t_warm * MIN_CACHE_HIT_SPEEDUP >= t_cold:
+        # One re-measure before declaring a regression, as for the
+        # backend floors; both passes go into the bench record.
+        retry = measure()
+        t_cold, t_warm = min(first[0], retry[0]), min(first[1], retry[1])
+        payload["first_measure_s"] = [round(v, 4) for v in first]
+        payload["retry_measure_s"] = [round(v, 4) for v in retry]
+    payload.update(
+        cold_s=round(t_cold, 4),
+        warm_s=round(t_warm, 4),
+        hit_speedup=round(t_cold / t_warm, 1),
     )
+    record_bench("cache", payload)
     print()
     print(
         f"cold: {t_cold:.3f}s  warm: {t_warm:.4f}s  "
         f"cache-hit speedup: {t_cold / t_warm:.1f}x"
     )
-    assert t_warm * 2 < t_cold
+    assert t_warm * MIN_CACHE_HIT_SPEEDUP < t_cold, (
+        f"cache hits regressed: {t_cold / t_warm:.1f}x < "
+        f"{MIN_CACHE_HIT_SPEEDUP}x cheaper than a cold vector run"
+    )
 
 
 def test_bench_engine_serve_warm_latency(benchmark, tmp_path):

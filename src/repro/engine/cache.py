@@ -51,11 +51,11 @@ import os
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from .job import EngineJob
+from .job import EngineJob, read_npz
 
 #: Environment variable overriding the cache root (shared with the
 #: trained-model cache in :mod:`repro.experiments.common`).
@@ -142,6 +142,25 @@ class ResultCache:
         base = Path(root) if root is not None else cache_root()
         self.root = base / "sim-results"
         self.root.mkdir(parents=True, exist_ok=True)
+        #: ``key -> (kind, result)`` while a :meth:`memo` block is open.
+        self._memo: Optional[Dict[str, Tuple[str, object]]] = None
+
+    @contextmanager
+    def memo(self) -> Iterator[None]:
+        """Serve results loaded or stored inside the block from memory.
+
+        ``read-repro all`` sweeps every job, then each renderer re-submits
+        its own: without the memo those are disk reads of entries this
+        process has just loaded or written.  The memo lives only for the
+        block and is dropped on exit, exceptions included, so a
+        long-lived process — the daemon, a campaign — never accumulates
+        results.
+        """
+        self._memo = {}
+        try:
+            yield
+        finally:
+            self._memo = None
 
     # ------------------------------------------------------------------ #
     def path_for(self, key: str) -> Path:
@@ -201,6 +220,10 @@ class ResultCache:
         entry's mtime — the recency signal ``gc``'s LRU eviction sorts
         by.
         """
+        if self._memo is not None and key in self._memo:
+            kind, result = self._memo[key]
+            if kind == job.kind:
+                return result
         path = self.path_for(key)
         try:
             handle = open(path, "rb")
@@ -208,15 +231,15 @@ class ResultCache:
             return None
         with handle:
             try:
-                with np.load(handle, allow_pickle=False) as data:
-                    # Entries written before job kinds existed carry no
-                    # tag; they are all SimJob results.
-                    kind = str(data["__kind__"]) if "__kind__" in data else "sim"
-                    if kind != job.kind:
-                        raise ValueError(
-                            f"kind mismatch: entry {kind!r}, job {job.kind!r}"
-                        )
-                    result = job.deserialize_result(data)
+                data = read_npz(handle)
+                # Entries written before job kinds existed carry no
+                # tag; they are all SimJob results.
+                kind = str(data.pop("__kind__", "sim"))
+                if kind != job.kind:
+                    raise ValueError(
+                        f"kind mismatch: entry {kind!r}, job {job.kind!r}"
+                    )
+                result = job.deserialize_result(data)
             except Exception:
                 self._discard_corrupt(path, os.fstat(handle.fileno()))
                 return None
@@ -224,6 +247,8 @@ class ResultCache:
             os.utime(path)  # LRU touch; racing with eviction is benign
         except OSError:
             pass
+        if self._memo is not None:
+            self._memo[key] = (job.kind, result)
         return result
 
     def _discard_corrupt(self, path: Path, read_stat: os.stat_result) -> None:
@@ -262,6 +287,12 @@ class ResultCache:
                 os.replace(tmp, path)
             finally:
                 tmp.unlink(missing_ok=True)
+        if self._memo is not None:
+            # Memoize what a disk hit would return, not the caller's
+            # object: the round trip normalizes types (numpy scalars,
+            # reconstructed accuracies) exactly as ``load`` does.
+            del arrays["__kind__"]
+            self._memo[key] = (job.kind, job.deserialize_result(arrays))
         return path
 
     # ------------------------------------------------------------------ #
@@ -275,6 +306,8 @@ class ResultCache:
         lock, and entries that vanish mid-walk (another ``clear``, an
         eviction) are skipped, never raised on.
         """
+        if self._memo is not None:
+            self._memo.clear()
         removed = 0
         for shard in self._shards():
             with self._shard_lock(shard):

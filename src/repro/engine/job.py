@@ -59,6 +59,17 @@ _PLAN_CACHE: "OrderedDict[str, LayerMappingPlan]" = OrderedDict()
 _PLAN_CACHE_MAX = 128
 
 
+def read_npz(source) -> Dict[str, np.ndarray]:
+    """Every member of an ``.npz`` archive, each read and parsed once.
+
+    ``source`` is a path or a binary file object.  Deserializers index
+    the returned arrays freely; indexing a lazy ``NpzFile`` instead costs
+    a zip-member read plus a ``.npy`` header parse per access.
+    """
+    with np.load(source, allow_pickle=False) as data:
+        return {name: data[name] for name in data.files}
+
+
 class EngineJob(ABC):
     """Abstract unit of engine work: hash, diagnose, execute, (de)serialize.
 
@@ -101,7 +112,12 @@ class EngineJob(ABC):
     @staticmethod
     @abstractmethod
     def deserialize_result(data):
-        """Inverse of :meth:`serialize_result` (byte-identical round trip)."""
+        """Inverse of :meth:`serialize_result` (byte-identical round trip).
+
+        ``data`` maps member names to arrays, as :func:`read_npz` returns
+        them — never a lazy ``NpzFile``, whose every index re-reads and
+        re-parses its zip member.
+        """
 
     def describe(self) -> Dict[str, object]:
         """Provenance record for artifact manifests (kind, label, corners)."""
@@ -389,11 +405,10 @@ class NetworkJob(EngineJob):
 
     @staticmethod
     def deserialize_result(data):
-        names = getattr(data, "files", None) or list(data.keys())
         out = []
         for i in range(int(data["n_jobs"])):
             prefix = f"job{i}/"
-            sub = {n[len(prefix):]: data[n] for n in names if n.startswith(prefix)}
+            sub = {n[len(prefix):]: data[n] for n in data if n.startswith(prefix)}
             out.append(SimJob.deserialize_result(sub))
         return out
 

@@ -29,7 +29,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from ..errors import ReproError
-from .job import EngineJob
+from .job import EngineJob, read_npz
 
 #: Points `run_many`/`run_stream` (and `read-repro ping`) at a running
 #: daemon's Unix socket; unset means "always in-process".
@@ -134,5 +134,4 @@ def encode_result(job: EngineJob, result: object) -> bytes:
 
 
 def decode_result(job: EngineJob, blob: bytes) -> object:
-    with np.load(io.BytesIO(blob), allow_pickle=False) as data:
-        return job.deserialize_result(data)
+    return job.deserialize_result(read_npz(io.BytesIO(blob)))

@@ -16,9 +16,11 @@ and executes it as one cache-reusing sweep:
    ``--jobs N`` fans the union of all figures' work over one process
    pool instead of nine smaller ones.
 4. **Render** — each runner's ``run()`` then re-submits its own jobs and
-   hits the warm cache; renderings land in an artifacts directory next
-   to a ``manifest.json`` recording, per experiment, the output path and
-   the content hashes of every job it submits, plus per-job provenance
+   hits the warm cache, answered from the cache's in-memory memo (open
+   for the duration of :func:`run_all` only) instead of re-read from
+   disk; renderings land in an artifacts directory next to a
+   ``manifest.json`` recording, per experiment, the output path and the
+   content hashes of every job it submits, plus per-job provenance
    (kind, label, corners) and the engine configuration.
 
 The manifest is deterministic except for the ``"run"`` block (wall
@@ -36,6 +38,7 @@ from __future__ import annotations
 
 import json
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
@@ -129,7 +132,10 @@ def run_all(
     baseline_stats = engine.stats.snapshot()
     sweep_stats = {"planned": 0, "unique": 0, "hits": 0, "misses": 0}
 
-    with engine_context(engine):
+    # Renderers re-submit jobs the sweep has just loaded or stored: the
+    # cache memo hands those results over in memory for this run only.
+    memo = engine.cache.memo() if engine.cache is not None else nullcontext()
+    with engine_context(engine), memo:
         # Phase 1+2: build the graph up front and sweep it once.  Without
         # a cache the sweeps are skipped (the runners would recompute
         # everything anyway) and so is injection *planning*, which itself

@@ -11,6 +11,7 @@ the result cache (hits are byte-identical to cold runs).
 """
 
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 from repro.arch import AcceleratorConfig, Dataflow
 from repro.core import MappingStrategy, plan_layer
 from repro.engine import (
+    NetworkJob,
     ResultCache,
     SimEngine,
     SimJob,
@@ -28,6 +30,9 @@ from repro.engine import (
     job_key,
     register_backend,
 )
+from repro.engine import cache as cache_module
+from repro.engine.job import read_npz
+from repro.engine.protocol import decode_result, encode_result
 from repro.errors import ConfigurationError, MappingError, MappingFallbackWarning
 from repro.hw.variations import PAPER_CORNERS, TER_EVAL_CORNER, corner_by_name
 
@@ -247,6 +252,133 @@ class TestResultCache:
             engine.run(job)
         fallbacks = [w for w in caught if issubclass(w.category, MappingFallbackWarning)]
         assert len(fallbacks) == 1  # scheduler warns; backend repeat suppressed
+
+
+@pytest.fixture
+def member_reads(monkeypatch):
+    """Count ``NpzFile`` member reads by member name."""
+    reads = Counter()
+    original = np.lib.npyio.NpzFile.__getitem__
+
+    def counting(self, name):
+        reads[name] += 1
+        return original(self, name)
+
+    monkeypatch.setattr(np.lib.npyio.NpzFile, "__getitem__", counting)
+    return reads
+
+
+def _assert_same_arrays(left, right):
+    assert sorted(left) == sorted(right)
+    for name in left:
+        a, b = np.asarray(left[name]), np.asarray(right[name])
+        assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+        assert a.tobytes() == b.tobytes(), name
+
+
+def _no_disk_reads(handle):
+    raise AssertionError("memo hit went to disk")
+
+
+class TestOnePassDecode:
+    """Every deserializer sees each npz member read exactly once."""
+
+    def test_cache_load_reads_each_member_once(self, tmp_path, member_reads):
+        job = make_job(seed=30)
+        assert len(job.corners) == 6
+        result = get_backend("fast").run(job)
+        cache = ResultCache(tmp_path)
+        cache.store(job.key(), job, result)
+        member_reads.clear()
+        assert cache.load(job.key(), job) is not None
+        assert set(member_reads) == set(SimJob.serialize_result(result)) | {"__kind__"}
+        assert set(member_reads.values()) == {1}
+
+    def test_protocol_decode_reads_each_member_once(self, member_reads):
+        job = make_job(seed=31)
+        result = get_backend("fast").run(job)
+        blob = encode_result(job, result)
+        decoded = decode_result(job, blob)
+        assert set(member_reads) == set(SimJob.serialize_result(result))
+        assert set(member_reads.values()) == {1}
+        _assert_same_arrays(
+            SimJob.serialize_result(decoded), SimJob.serialize_result(result)
+        )
+
+
+class TestResultMemo:
+    """``ResultCache.memo``: results served from memory inside one block."""
+
+    def test_memo_hit_serializes_like_its_disk_entry(self, tmp_path, monkeypatch):
+        job = make_job(seed=32)
+        cache = ResultCache(tmp_path)
+        with cache.memo():
+            path = cache.store(job.key(), job, get_backend("fast").run(job))
+            monkeypatch.setattr(cache_module, "read_npz", _no_disk_reads)
+            served = cache.load(job.key(), job)
+        monkeypatch.undo()
+        disk = read_npz(path)
+        assert str(disk.pop("__kind__")) == job.kind
+        _assert_same_arrays(SimJob.serialize_result(served), disk)
+        reloaded = cache.load(job.key(), job)  # memo closed: from disk
+        _assert_same_arrays(
+            SimJob.serialize_result(served), SimJob.serialize_result(reloaded)
+        )
+
+    def test_loaded_entry_is_read_from_disk_once(self, tmp_path, monkeypatch):
+        job = make_job(seed=33)
+        cache = ResultCache(tmp_path)
+        cache.store(job.key(), job, get_backend("fast").run(job))
+        reads = []
+        monkeypatch.setattr(
+            cache_module, "read_npz", lambda handle: reads.append(1) or read_npz(handle)
+        )
+        with cache.memo():
+            first = cache.load(job.key(), job)
+            assert cache.load(job.key(), job) is first
+        assert len(reads) == 1
+        assert cache.load(job.key(), job) is not first
+        assert len(reads) == 2
+
+    def test_memo_checks_the_kind_tag(self, tmp_path):
+        job = make_job(seed=34)
+        cache = ResultCache(tmp_path)
+        with cache.memo():
+            cache.store(job.key(), job, get_backend("fast").run(job))
+            # Same key, other kind: the memo entry must not answer it.
+            assert cache.load(job.key(), NetworkJob(jobs=(job,))) is None
+
+    def test_memo_is_dropped_on_exit_and_on_error(self, tmp_path):
+        job = make_job(seed=35)
+        cache = ResultCache(tmp_path)
+        with pytest.raises(RuntimeError):
+            with cache.memo():
+                cache.store(job.key(), job, get_backend("fast").run(job))
+                assert cache._memo
+                raise RuntimeError("boom")
+        assert cache._memo is None
+
+    def test_cleared_cache_stops_serving_memo_hits(self, tmp_path):
+        job = make_job(seed=36)
+        cache = ResultCache(tmp_path)
+        with cache.memo():
+            cache.store(job.key(), job, get_backend("fast").run(job))
+            cache.clear()
+            assert cache.load(job.key(), job) is None
+
+    def test_hit_counts_match_without_memo(self, tmp_path):
+        jobs = [make_job(seed=s) for s in (37, 38)]
+        SimEngine(backend="fast", cache_dir=tmp_path).run_many(jobs)
+        plain = SimEngine(backend="fast", cache_dir=tmp_path)
+        memoized = SimEngine(backend="fast", cache_dir=tmp_path)
+        for _ in range(2):
+            plain.run_many(jobs)
+        with memoized.cache.memo():
+            for _ in range(2):
+                memoized.run_many(jobs)
+        assert (plain.stats.hits, plain.stats.misses) == (4, 0)
+        assert (memoized.stats.hits, memoized.stats.misses) == (4, 0)
+
 
 
 class TestJobKey:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.core import MappingStrategy
-from repro.experiments import fig2, fig3, fig5, fig7, fig8, fig9, table1
+from repro.experiments import common, fig2, fig3, fig5, fig7, fig8, fig9, table1
 from repro.experiments.common import SCALES, get_bundle, get_scale, render_table
 from repro.errors import ConfigurationError
 
@@ -39,6 +39,16 @@ class TestCommon:
     def test_bundle_memo_cache(self, vgg_bundle):
         again = get_bundle("vgg16_cifar10", TINY)
         assert again is vgg_bundle
+
+    def test_snapshot_load_leaves_model_in_inference_mode(self, monkeypatch):
+        micro = SCALES["micro"]
+        get_bundle("vgg16_cifar10", micro)  # trains the snapshot if missing
+        monkeypatch.setattr(common, "_BUNDLE_CACHE", {})
+        bundle = get_bundle("vgg16_cifar10", micro)  # loads the snapshot
+        assert bundle.model.training is False
+        assert not any(m.training for m in bundle.model.modules())
+        # No float test pass: the bundle carries no float accuracy.
+        assert not hasattr(bundle, "float_accuracy")
 
     def test_render_table_alignment(self):
         table = render_table(["a", "bb"], [[1, 2.5], ["xyz", 3e-7]])

@@ -8,10 +8,15 @@ manifest modulo the volatile ``"run"`` block.
 """
 
 import json
+from collections import Counter
+from contextlib import nullcontext
+from pathlib import Path
 
 import pytest
 
-from repro.engine import SimEngine
+from repro.engine import ResultCache, SimEngine
+from repro.engine import cache as cache_module
+from repro.engine.job import read_npz
 from repro.experiments import RUNNERS, SCALES, run_all
 from repro.experiments.orchestrator import SCALELESS, VOLATILE_MANIFEST_FIELDS
 
@@ -119,6 +124,63 @@ class TestCacheReuse:
         cold, warm = sweeps
         for name in RUNNERS:
             assert cold.texts[name] == warm.texts[name]
+
+
+class TestResultMemo:
+    """``run_all`` answers its render phase from the cache memo."""
+
+    NAMES = ["fig7"]  # the cheapest simulating runner
+
+    def _run(self, root, label, monkeypatch=None):
+        engine = SimEngine(backend="fast", jobs=1, cache_dir=root / "cache")
+        disk_reads = Counter()
+        if monkeypatch is not None:
+            def counting(handle):
+                disk_reads[Path(handle.name).stem] += 1
+                return read_npz(handle)
+
+            monkeypatch.setattr(cache_module, "read_npz", counting)
+        result = run_all(
+            scale=SMALLEST, artifacts_dir=root / label, engine=engine, names=self.NAMES
+        )
+        assert engine.cache._memo is None
+        return result, engine.stats, disk_reads
+
+    def test_warm_run_reads_each_key_once(self, tmp_path, monkeypatch):
+        cold, _, _ = self._run(tmp_path, "cold")
+        warm, warm_stats, disk_reads = self._run(tmp_path, "warm", monkeypatch)
+        assert warm_stats.misses == 0
+        assert disk_reads and set(disk_reads.values()) == {1}
+        # The render phase re-submitted every key; the memo answered it.
+        assert warm_stats.hits > len(disk_reads)
+        assert warm.texts == cold.texts
+
+    def test_counts_match_a_run_without_memo(self, tmp_path, monkeypatch):
+        self._run(tmp_path, "cold")
+        _, memo_stats, memo_reads = self._run(tmp_path, "memo", monkeypatch)
+        monkeypatch.setattr(ResultCache, "memo", lambda self: nullcontext())
+        _, plain_stats, plain_reads = self._run(tmp_path, "plain", monkeypatch)
+        fields = ("hits", "misses", "deduped")
+        assert [getattr(memo_stats, f) for f in fields] == [
+            getattr(plain_stats, f) for f in fields
+        ]
+        assert sum(plain_reads.values()) == plain_stats.hits
+        assert sum(memo_reads.values()) < sum(plain_reads.values())
+
+    def test_memo_dropped_when_run_all_raises(self, tmp_path, monkeypatch):
+        engine = SimEngine(backend="fast", jobs=1, cache_dir=tmp_path / "cache")
+
+        def broken_render(result):
+            assert engine.cache._memo  # open, and filled by the sweep
+            raise RuntimeError("render failed")
+
+        monkeypatch.setattr(RUNNERS["fig7"], "render", broken_render)
+        with pytest.raises(RuntimeError, match="render failed"):
+            run_all(
+                scale=SMALLEST, artifacts_dir=tmp_path / "a", engine=engine,
+                names=self.NAMES,
+            )
+        assert engine.cache._memo is None
 
 
 class TestScaleless:

@@ -1,10 +1,13 @@
-"""Compare two campaign manifests modulo their volatile ``run`` block.
+"""Compare two manifests modulo their volatile ``run`` block.
 
-The determinism contract of ``read-repro campaign``: everything in the
-manifest except ``run`` (wall clock, hit/miss counters, resume flag,
-engine shape) is a pure function of the campaign spec — so a campaign
-that was killed mid-flight and resumed must produce a manifest identical
-to an uninterrupted run's.  CI enforces that contract with this tool:
+Works on any manifest whose only volatile block is ``run``: the
+campaign's (``repro.experiments.campaign.VOLATILE_MANIFEST_FIELDS``) and
+``read-repro all``'s (``repro.experiments.orchestrator.
+VOLATILE_MANIFEST_FIELDS = ("run",)``).  Everything outside ``run``
+(wall clocks, hit/miss counters, resume flag, engine shape) is a pure
+function of the inputs, so a campaign killed mid-flight and resumed must
+produce the manifest of an uninterrupted run, and a warm ``all`` the
+manifest of a cold one.  CI enforces both contracts with this tool:
 
     python tools/compare_manifests.py A/manifest.json B/manifest.json
 
@@ -19,8 +22,9 @@ import json
 import sys
 from typing import Iterator, Tuple
 
-#: Keys excluded from the comparison — must stay in sync with
-#: ``repro.experiments.campaign.VOLATILE_MANIFEST_FIELDS``.
+#: Keys excluded from the comparison — must stay in sync with the
+#: ``VOLATILE_MANIFEST_FIELDS`` of ``repro.experiments.campaign`` and
+#: ``repro.experiments.orchestrator``.
 VOLATILE_FIELDS = ("run",)
 
 MAX_LEAF_DIFFS = 10
