@@ -1,39 +1,34 @@
-"""Bench: the pruning injection runtime vs its two predecessors.
+"""Bench: the trial-batched injection runtime vs the serial reference.
 
 Measures the wall clock of a micro-scale fig10-shaped injection campaign
 — both fig10 networks, one :class:`~repro.faults.InjectionJob` per
-(strategy x corner) cell — executed three times through the same engine:
+(strategy x corner) cell — executed twice through the same engine:
 
-* ``serial`` — the per-trial reference loop (the paper's protocol);
-* ``batched-noprune`` — the stacked trial forward with masked-trial
-  pruning disabled (``$REPRO_INJECTION_PRUNE=0``): the previous PR's
-  runtime, the baseline this PR's tentpole is measured against;
-* ``pruned`` — the full runtime: stacked forward plus masked-trial
-  pruning and effective-flip dedup.
+* ``serial`` — the per-trial reference loop (the paper's protocol, and
+  the runtime's oracle);
+* ``batched`` — the stacked trial forward with effective-flip dedup.
 
-All three produce bit-identical results (asserted), so the ratios are
-pure runtime comparisons.
+Both produce bit-identical results (asserted), so the ratio is a pure
+runtime comparison.
 
 The BER tables are corner-scaled the way a real fig10 campaign is: the
 paper's Eq. 1 corners span ~100 orders of magnitude (Ideal ~1e-112,
 VT-3% ~1e-10, VT-5% ~5e-5, Aging&VT-5% up to 0.24), so each bench corner
 applies one decade factor to the drawn per-layer tables.  High-BER cells
-keep every trial diverged (pruning can only help the other corners);
-low-BER cells are where masked trials collapse onto the fault-free lane
-— exactly the regime that dominates a production campaign's cell grid.
+keep every trial diverged; low-BER cells are where empty and duplicate
+flip draws collapse onto the fault-free lane — exactly the regime that
+dominates a production campaign's cell grid.
 
-Both asserted floors are measured with interleaved best-of-N timing —
-this reference host is a 1-core runner with ±10 % noise — with one
-extended re-measure before declaring a regression:
-
-* pruned vs serial: default 12x, ``$REPRO_BENCH_MIN_INJECTION_SPEEDUP``;
-* pruned vs batched-noprune: default 2x, ``$REPRO_BENCH_MIN_PRUNE_SPEEDUP``.
+The asserted floor — batched vs serial, default 12x,
+``$REPRO_BENCH_MIN_INJECTION_SPEEDUP`` — is measured with interleaved
+best-of-N timing (this reference host is a 1-core runner with ±10 %
+noise), with one extended re-measure before declaring a regression.
 
 The measurement lands in ``BENCH_injection.json`` at the repository root
 (shared layout with ``BENCH_engine.json`` — see
-:class:`bench_util.BenchRecorder`), including the campaign's
-pruned/deduped trial counters, which must be nonzero for the pruning
-floor to mean anything.
+:class:`bench_util.BenchRecorder`), including the campaign's deduped
+trial counter, which must be nonzero for the low-BER cells to exercise
+the dedup path.
 
 Run it with::
 
@@ -41,7 +36,6 @@ Run it with::
 """
 
 import dataclasses
-import os
 from pathlib import Path
 
 import numpy as np
@@ -49,7 +43,6 @@ import numpy as np
 from repro.engine import SimEngine
 from repro.experiments.common import SCALES, get_bundle
 from repro.faults import injection_job_for_bundle
-from repro.nn.quantize import INJECTION_PRUNE_ENV
 
 from bench_util import BenchRecorder, env_float, run_once, timed_interleaved
 
@@ -61,13 +54,9 @@ _RECORDER = BenchRecorder(
     "PYTHONPATH=src python -m pytest benchmarks/test_bench_injection.py -q -s",
 )
 
-#: Asserted floor on the pruned runtime's speedup over the serial
+#: Asserted floor on the batched runtime's speedup over the serial
 #: reference.  Overridable for noisy shared hosts.
 MIN_INJECTION_SPEEDUP = env_float("REPRO_BENCH_MIN_INJECTION_SPEEDUP", 12.0)
-
-#: Asserted floor on the pruned runtime's speedup over the pruning-
-#: disabled stacked runtime (the previous PR's baseline).
-MIN_PRUNE_SPEEDUP = env_float("REPRO_BENCH_MIN_PRUNE_SPEEDUP", 2.0)
 
 #: The two networks of Fig. 10.
 RECIPES = ("vgg16_cifar10", "resnet18_cifar10")
@@ -75,8 +64,8 @@ RECIPES = ("vgg16_cifar10", "resnet18_cifar10")
 #: Bench corners as (BER decade factor, strategy cells): each factor
 #: scales the drawn per-layer BER tables — a compressed stand-in for the
 #: Eq. 1 corner spread (see the module docstring).  The first corner
-#: keeps every trial diverged; the others are the masked/duplicate
-#: regime pruning exists for (the paper's VT-3% corner sits at ~1e-10,
+#: keeps every trial diverged; the others are the empty/duplicate-draw
+#: regime dedup exists for (the paper's VT-3% corner sits at ~1e-10,
 #: far below the last factor).  The cell weighting mirrors fig10's grid,
 #: where the always-diverged Aging&VT corners are the minority.
 CORNERS = ((1.0, 2), (1e-5, 3), (1e-9, 3))
@@ -112,59 +101,37 @@ def campaign_jobs(runtime):
     return jobs
 
 
-def _with_prune(enabled, fn):
-    """Run ``fn`` under an explicit ``$REPRO_INJECTION_PRUNE`` setting."""
-    before = os.environ.get(INJECTION_PRUNE_ENV)
-    os.environ[INJECTION_PRUNE_ENV] = "1" if enabled else "0"
-    try:
-        return fn()
-    finally:
-        if before is None:
-            os.environ.pop(INJECTION_PRUNE_ENV, None)
-        else:
-            os.environ[INJECTION_PRUNE_ENV] = before
-
-
-def test_bench_injection_pruned_vs_baselines(benchmark):
+def test_bench_injection_batched_vs_serial(benchmark):
     engine = SimEngine(use_cache=False)
     serial_jobs = campaign_jobs("serial")
     batched_jobs = campaign_jobs("batched")
-    # Warm all three legs once: trains/loads the bundles, fills the
-    # per-process operand caches, and proves bit-identity of the three
+    # Warm both legs once: trains/loads the bundles, fills the
+    # per-process operand caches, and proves bit-identity of the two
     # runtimes on the full corner-decade grid.
     with _RECORDER.phase("warm"):
         serial_results = engine.run_many(serial_jobs)
-        noprune_results = _with_prune(False, lambda: engine.run_many(batched_jobs))
-        pruned_results = _with_prune(True, lambda: engine.run_many(batched_jobs))
-    for s, b, p in zip(serial_results, noprune_results, pruned_results):
-        assert s.trial_accuracies == b.trial_accuracies == p.trial_accuracies
-        assert s.flips_injected == b.flips_injected == p.flips_injected
-        assert s.trial_correct == b.trial_correct == p.trial_correct
+        batched_results = engine.run_many(batched_jobs)
+    for s, b in zip(serial_results, batched_results):
+        assert s.trial_accuracies == b.trial_accuracies
+        assert s.flips_injected == b.flips_injected
+        assert s.trial_correct == b.trial_correct
 
-    # The pruning floor is only meaningful if pruning actually fired on
-    # this grid: re-run the pruned leg and check its counters.
-    engine.stats.trials_pruned = engine.stats.trials_deduped = 0
-    _with_prune(True, lambda: engine.run_many(batched_jobs))
-    trials_pruned = engine.stats.trials_pruned
+    # The low-BER cells must actually exercise dedup: re-run the
+    # batched leg and check its counter.
+    engine.stats.trials_deduped = 0
+    engine.run_many(batched_jobs)
     trials_deduped = engine.stats.trials_deduped
-    assert trials_pruned + trials_deduped > 0, (
-        "the corner-decade grid produced no pruned or deduped trials; "
-        "the pruned-vs-noprune floor would measure nothing"
-    )
+    assert trials_deduped > 0, "the corner-decade grid produced no deduped trials"
 
     contenders = [
         lambda: engine.run_many(serial_jobs),
-        lambda: _with_prune(False, lambda: engine.run_many(batched_jobs)),
-        lambda: _with_prune(True, lambda: engine.run_many(batched_jobs)),
+        lambda: engine.run_many(batched_jobs),
     ]
     with _RECORDER.phase("measure"):
         first = timed_interleaved(contenders, repeats=3)
-    t_serial, t_noprune, t_pruned = first
+    t_serial, t_batched = first
     retry = None
-    if (
-        t_serial / t_pruned < MIN_INJECTION_SPEEDUP
-        or t_noprune / t_pruned < MIN_PRUNE_SPEEDUP
-    ):
+    if t_serial / t_batched < MIN_INJECTION_SPEEDUP:
         # One extended re-measure before declaring a regression: a single
         # noisy-neighbor blip on a shared runner can depress best-of-3.
         # Both measurements go into the bench record, so a floor trip in
@@ -172,11 +139,9 @@ def test_bench_injection_pruned_vs_baselines(benchmark):
         with _RECORDER.phase("remeasure"):
             retry = timed_interleaved(contenders, repeats=4)
         t_serial = min(t_serial, retry[0])
-        t_noprune = min(t_noprune, retry[1])
-        t_pruned = min(t_pruned, retry[2])
-    run_once(benchmark, lambda: _with_prune(True, lambda: engine.run_many(batched_jobs)))
-    speedup_serial = t_serial / t_pruned
-    speedup_noprune = t_noprune / t_pruned
+        t_batched = min(t_batched, retry[1])
+    run_once(benchmark, engine.run_many, batched_jobs)
+    speedup = t_serial / t_batched
 
     payload = {
         "shape": (
@@ -187,44 +152,29 @@ def test_bench_injection_pruned_vs_baselines(benchmark):
         "recipes": list(RECIPES),
         "corners": [{"ber_scale": s, "cells": n} for s, n in CORNERS],
         "n_jobs": len(serial_jobs),
-        "trials_pruned": int(trials_pruned),
         "trials_deduped": int(trials_deduped),
-        "wall_clock_s": {
-            "serial": round(t_serial, 4),
-            "batched_noprune": round(t_noprune, 4),
-            "pruned": round(t_pruned, 4),
-        },
-        "speedup_pruned_vs_serial": round(speedup_serial, 2),
-        "speedup_pruned_vs_noprune": round(speedup_noprune, 2),
+        "wall_clock_s": {"serial": round(t_serial, 4), "batched": round(t_batched, 4)},
+        "speedup_batched_vs_serial": round(speedup, 2),
         "asserted_min_speedup_vs_serial": MIN_INJECTION_SPEEDUP,
-        "asserted_min_speedup_vs_noprune": MIN_PRUNE_SPEEDUP,
     }
     if retry is not None:
         payload["wall_clock_s_first_measure"] = {
             "serial": round(first[0], 4),
-            "batched_noprune": round(first[1], 4),
-            "pruned": round(first[2], 4),
+            "batched": round(first[1], 4),
         }
         payload["wall_clock_s_retry_measure"] = {
             "serial": round(retry[0], 4),
-            "batched_noprune": round(retry[1], 4),
-            "pruned": round(retry[2], 4),
+            "batched": round(retry[1], 4),
         }
     _RECORDER.write("campaign", payload)
     print()
     print(
         f"injection campaign ({len(serial_jobs)} jobs): serial {t_serial:.3f}s  "
-        f"batched-noprune {t_noprune:.3f}s  pruned {t_pruned:.3f}s  "
-        f"({speedup_serial:.1f}x vs serial, {speedup_noprune:.1f}x vs noprune; "
-        f"{trials_pruned} pruned, {trials_deduped} deduped)"
+        f"batched {t_batched:.3f}s  ({speedup:.1f}x vs serial; "
+        f"{trials_deduped} deduped)"
     )
-    assert speedup_serial >= MIN_INJECTION_SPEEDUP, (
-        f"pruned injection runtime regressed: {speedup_serial:.1f}x < "
+    assert speedup >= MIN_INJECTION_SPEEDUP, (
+        f"batched injection runtime regressed: {speedup:.1f}x < "
         f"{MIN_INJECTION_SPEEDUP}x over the serial reference "
-        "(see BENCH_injection.json)"
-    )
-    assert speedup_noprune >= MIN_PRUNE_SPEEDUP, (
-        f"masked-trial pruning regressed: {speedup_noprune:.1f}x < "
-        f"{MIN_PRUNE_SPEEDUP}x over the pruning-disabled stacked runtime "
         "(see BENCH_injection.json)"
     )

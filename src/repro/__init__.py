@@ -22,17 +22,17 @@ True
 
 Batches of such simulations go through the engine (see ``docs/engine.md``):
 describe each as a :class:`SimJob`, pick a backend (``"reference"`` or the
-vectorized ``"fast"``), and :class:`SimEngine` adds multi-process fan-out
+whole-network ``"vector"`` fold), and :class:`SimEngine` adds multi-process fan-out
 plus an on-disk result cache keyed by a content hash of the job spec:
 
 >>> from repro import SimEngine, SimJob, TER_EVAL_CORNER
->>> engine = SimEngine(backend="fast", use_cache=False)
+>>> engine = SimEngine(backend="vector", use_cache=False)
 >>> job = SimJob(acts=acts, weights=weights, corners=(TER_EVAL_CORNER,),
 ...              group_size=4, strategy=MappingStrategy.CLUSTER_THEN_REORDER)
->>> fast_report = engine.run(job)[TER_EVAL_CORNER.name]
->>> bool(abs(fast_report.ter - report.ter) < 1e-9)
+>>> vector_report = engine.run(job)[TER_EVAL_CORNER.name]
+>>> bool(abs(vector_report.ter - report.ter) < 1e-9)
 True
->>> bool(np.array_equal(fast_report.outputs, report.outputs))
+>>> bool(np.array_equal(vector_report.outputs, report.outputs))
 True
 """
 

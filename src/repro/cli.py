@@ -4,7 +4,7 @@ Usage::
 
     read-repro list
     read-repro fig8 --scale small
-    read-repro all --scale tiny --jobs 4 --backend fast
+    read-repro all --scale tiny --jobs 4 --backend vector
     read-repro sweep --suite mobile --scale micro
     python -m repro fig10 --no-cache
 
@@ -124,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
             "execute one parallel cache-reusing sweep, and write each rendering "
             "plus a provenance manifest.json to the artifacts directory."
         ),
-        epilog="example: read-repro all --scale tiny --backend fast --jobs 4",
+        epilog="example: read-repro all --scale tiny --backend vector --jobs 4",
     )
     _scale_flag(all_parser)
     _engine_flags(all_parser)
@@ -171,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
             "product (widths x dataflows x strategies x corners x groups x "
             "bits), run every registered backend on the same jobs, and check "
             "the conformance contract (bit-equal outputs and integer stats, "
-            "TER within 1e-9 of reference, fast==vector bitwise, stacked "
+            "TER within 1e-9 of reference, stacked "
             "run_network == per-job run).  Failures are minimized and "
             "printed as a single replayable --spec command."
         ),
@@ -376,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
             help=_doc_line(RUNNERS[name]),
             description=_doc_line(RUNNERS[name]),
             epilog=f"example: read-repro {name}"
-            + ("" if name in SCALELESS else " --scale small --backend fast --jobs 4"),
+            + ("" if name in SCALELESS else " --scale small --backend vector --jobs 4"),
         )
         if name not in SCALELESS:
             _scale_flag(sub)

@@ -3,8 +3,8 @@
 The engine turns the paper's serial per-figure simulation loops into one
 schedulable workload: experiments describe their measurements as
 :class:`SimJob`\\ s, and :class:`SimEngine` executes them on a selectable
-backend (``reference``, batched ``fast``, or whole-network ``vector`` —
-conformance-tested bit-compatible, with ``vector`` ≥25x over the
+backend (the ``reference`` oracle or the whole-network ``vector`` fold —
+conformance-tested bit-compatible, with ``vector`` ≥12x over the
 reference), stacks whole networks of layer jobs into single
 :class:`NetworkJob` folds, fans cache-missing jobs out over worker
 processes, and memoizes every result on disk keyed by a content hash of
@@ -40,7 +40,6 @@ from .arena import (
     shutdown_arena,
 )
 from .backends import (
-    FastBackend,
     ReferenceBackend,
     SimulationBackend,
     VectorBackend,
@@ -97,7 +96,6 @@ __all__ = [
     "EngineStats",
     "PROTOCOL_VERSION",
     "ProtocolError",
-    "FastBackend",
     "NetworkJob",
     "ReferenceBackend",
     "ResultCache",

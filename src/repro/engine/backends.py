@@ -7,35 +7,22 @@ the backend entirely — the scheduler hands every job the backend
 *factory* and lets the job decide (see
 :meth:`~repro.engine.job.EngineJob.execute`).
 
-Three backends ship with the engine:
+Two backends ship with the engine:
 
 * ``reference`` — the cycle-behavioural
   :class:`~repro.arch.systolic.SystolicArraySimulator`, unchanged.  Its
   semantics define correctness.
 * ``vector`` — whole-tile array folds in :mod:`repro.engine.vector`:
   field-domain PSUM traces on narrow dtypes, survival-counted carry
-  chains and histogram-derived sign flips.  The fastest backend and the
-  default for the fig10/fig11 grids and the orchestrator sweep.
-* ``fast`` — a vectorized re-derivation of the same quantities.  Instead
-  of walking pixel chunks and PVTA corners in Python, it runs each output
-  -channel group's whole pixel set through one batched trace and exploits
-  the structure of the delay surrogate: a cycle's triggered delay depends
-  only on its ``(multiplier bits, toggle span)`` pair, which takes at most
-  ``(act_width + weight_width + 1) x (psum_width + 1)`` distinct values.
-  The whole job therefore reduces to one histogram over cycles
-  (``np.bincount``) followed by a single batched Gaussian-survival call on
-  the tiny ``corners x bins`` grid — per-corner work no longer scales
-  with the cycle count at all.  It also computes operand significance
-  bits on the compact ``(pixels, C)`` / ``(m, C)`` operands rather than
-  the expanded ``(pixels, m, C)`` streams.
+  chains and histogram-derived sign flips.  The default for the
+  fig10/fig11 grids and the orchestrator sweep.
 
-The batched backends are *bit-exact* on functional outputs and
-integer-valued statistics (sign flips, cycle counts, chain lengths) and
-agree with the reference TER to float-summation-order differences
-(< 1e-9), which the equivalence suite in ``tests/test_engine.py`` and
-the cross-backend conformance suite in
-``tests/test_backend_conformance.py`` enforce across dataflows,
-strategies, datapath widths and all paper corners.
+``vector`` is *bit-exact* on functional outputs and integer-valued
+statistics (sign flips, cycle counts, chain lengths) and agrees with
+the reference TER to float-summation-order differences (< 1e-9), which
+the equivalence suite in ``tests/test_engine.py`` and the cross-backend
+conformance suite in ``tests/test_backend_conformance.py`` enforce
+across dataflows, strategies, datapath widths and all paper corners.
 
 Third parties can plug in alternatives via :func:`register_backend`.
 """
@@ -45,22 +32,9 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import Callable, Dict, List
 
-import numpy as np
-
-from ..arch.config import AcceleratorConfig, Dataflow
 from ..arch.systolic import LayerReliabilityReport, SystolicArraySimulator
 from ..errors import ConfigurationError, unknown_name_error
-from ..hw import fixedpoint as fp
-from ..hw.carry import accumulation_chain_lengths, highest_set_bit
-from ..hw.dta import DynamicTimingAnalyzer, histogram_expected_errors
-from ..hw.fixedpoint import significant_bits
 from .job import SimJob
-
-#: Peak per-temporary size of the fast backend's batched traces, in
-#: elements.  The pixel axis is processed in blocks (always whole
-#: multiples of ``pixel_chunk``, so weight-stationary chunk-boundary
-#: semantics are untouched) sized to stay under this bound.
-_MAX_BLOCK_ELEMENTS = 2_000_000
 
 
 class SimulationBackend(ABC):
@@ -101,149 +75,6 @@ class ReferenceBackend(SimulationBackend):
         sim = SystolicArraySimulator(job.config, pixel_chunk=job.pixel_chunk)
         plan = job.build_plan()
         return sim.run_gemm_corners(job.acts, job.weights, list(job.corners), plan)
-
-
-class FastBackend(SimulationBackend):
-    """Batched evaluation of the same simulation (see module docstring)."""
-
-    name = "fast"
-
-    def run(self, job: SimJob) -> Dict[str, LayerReliabilityReport]:
-        config = job.config
-        plan = job.build_plan()
-        acts, weights = job.acts, job.weights
-        width = config.mac.psum_width
-        delay_model = config.delay_model
-        dta = DynamicTimingAnalyzer(
-            mac_config=config.mac, delay_model=delay_model, sta=config.sta()
-        )
-        clock = dta.clock_ps
-
-        n_pixels, c_eff = acts.shape
-        k = weights.shape[1]
-        outputs = np.zeros((n_pixels, k), dtype=np.int64)
-
-        corners = job.corners
-        flip_sum = 0.0
-        flip_cycles = 0
-        chain_sum = 0.0
-        n_cycles = 0
-
-        # Joint histogram of (multiplier bits, toggle span) over all
-        # cycles of all groups; every cycle's triggered delay — and hence
-        # its per-corner error probability — is a function of its bin.
-        n_spans = width + 1
-        n_mult = config.mac.act_width + config.mac.weight_width + 1
-        delay_bins = np.zeros(n_mult * n_spans, dtype=np.int64)
-
-        for group in plan.groups:
-            w_sub = np.asarray(group.weights, dtype=np.int64)  # (C_eff, m) reordered
-            w_bits = significant_bits(w_sub.T)  # (m, C_eff)
-            # Memory bound: batch pixels in whole pixel_chunk multiples so
-            # peak temporaries stay bounded while WS chunk boundaries fall
-            # exactly where the reference simulator puts them.
-            block = _pixel_block(job.pixel_chunk, w_sub.size)
-            for start in range(0, n_pixels, block):
-                acts_g = acts[start : start + block][:, group.order]  # (p, C_eff)
-                products = acts_g[:, None, :] * w_sub.T[None, :, :]  # (p, m, C_eff)
-                psums, chains, spans, flips = accumulation_chain_lengths(
-                    products, width=width
-                )
-
-                outputs[start : start + block, group.columns] = psums[..., -1]
-                chain_sum += float(chains.sum())
-                n_cycles += int(flips.size)
-
-                spans, block_flips, block_transitions = _dataflow_adjacency(
-                    psums, spans, flips, config.dataflow, job.pixel_chunk, width
-                )
-                flip_sum += block_flips
-                flip_cycles += block_transitions
-
-                # Multiplier terms from compact per-operand bit counts.
-                mult_bits = significant_bits(acts_g)[:, None, :] + w_bits[None, :, :]
-                counts = np.bincount(
-                    (mult_bits * n_spans + spans).reshape(-1), minlength=delay_bins.size
-                )
-                if counts.size > delay_bins.size:
-                    # out-of-range operands (wider than the configured MAC
-                    # datapath) overflow the nominal histogram; grow it —
-                    # the reference DTA prices such cycles, so must we
-                    counts[: delay_bins.size] += delay_bins
-                    delay_bins = counts
-                else:
-                    delay_bins += counts
-
-        prob_sums = _corner_error_sums(
-            delay_bins, n_spans, delay_model, corners, clock
-        )
-
-        reports = {}
-        for i, corner in enumerate(corners):
-            reports[corner.name] = LayerReliabilityReport(
-                ter=float(prob_sums[i]) / max(n_cycles, 1),
-                sign_flip_rate=flip_sum / max(flip_cycles, 1),
-                n_cycles=n_cycles,
-                mean_chain_length=chain_sum / max(n_cycles, 1),
-                outputs=outputs,
-                n_macs_per_output=c_eff,
-                strategy=plan.strategy.value,
-                corner_name=corner.name,
-            )
-        return reports
-
-
-def _pixel_block(pixel_chunk: int, cycles_per_pixel: int) -> int:
-    """Pixels per batched trace: a pixel_chunk multiple under the bound."""
-    chunks = max(1, _MAX_BLOCK_ELEMENTS // max(1, cycles_per_pixel * pixel_chunk))
-    return chunks * pixel_chunk
-
-
-def _dataflow_adjacency(psums, spans, flips, dataflow, pixel_chunk, width):
-    """Register-transition statistics for the configured dataflow.
-
-    Vectorized equivalent of
-    :meth:`SystolicArraySimulator._apply_dataflow_adjacency` applied
-    per pixel chunk: for weight-stationary, PSUM adjacency runs along the
-    pixel axis *within* each chunk — the first pixel of a chunk keeps its
-    within-pixel settle span, and chunks of a single pixel keep the whole
-    native trace — so results match the reference chunk loop bit-for-bit.
-
-    Returns ``(spans', flip_count, transition_count)``.
-    """
-    if dataflow is Dataflow.OUTPUT_STATIONARY:
-        return spans, float(flips.sum()), int(flips.size)
-    n_pixels = psums.shape[0]
-    chunk_starts = np.arange(0, n_pixels, pixel_chunk)
-    cur = fp.to_field(psums, width)
-    prev = np.empty_like(cur)
-    prev[1:] = cur[:-1]
-    prev[chunk_starts] = cur[chunk_starts]
-    xor = prev ^ cur
-    ws_spans = highest_set_bit(xor, width)
-    ws_spans[chunk_starts] = spans[chunk_starts]
-    sign_bit = np.int64(1) << (width - 1)
-    ws_flips = (xor & sign_bit) != 0
-    ws_flips[chunk_starts] = False
-    per_cycle = int(np.prod(psums.shape[1:], dtype=np.int64))
-    transitions = (n_pixels - chunk_starts.size) * per_cycle
-    return ws_spans, float(ws_flips.sum()), int(transitions)
-
-
-def _corner_error_sums(delay_bins, n_spans, delay_model, corners, clock_ps):
-    """Expected error count at each corner from the delay histogram.
-
-    ``delay_bins[mult_bits * n_spans + span]`` counts the cycles whose
-    triggered path is ``launch + mult_per_bit * mult_bits +
-    settle_per_bit * span`` — the per-cycle probability is a function of
-    the bin, so the sum over cycles is ``counts @ probabilities``.  The
-    reduction is shared with the ``vector`` backend via
-    :func:`repro.hw.dta.histogram_expected_errors`, so both batched
-    backends produce bit-identical TERs from identical histograms.
-    """
-    return histogram_expected_errors(
-        delay_bins, n_spans, delay_model, corners, clock_ps
-    )
 
 
 # ---------------------------------------------------------------------- #
@@ -291,7 +122,6 @@ def get_backend(name: str) -> SimulationBackend:
 
 
 register_backend(ReferenceBackend.name, ReferenceBackend)
-register_backend(FastBackend.name, FastBackend)
 
 # Imported last: vector.py subclasses SimulationBackend from this module.
 from .vector import VectorBackend  # noqa: E402

@@ -87,7 +87,7 @@ def _execute_job(factory: Callable[[], SimulationBackend], job: EngineJob):
     job (mirroring ``SimJob.build_plan``'s plan memo).
 
     Returns ``(result, counters)``: the runtime work-avoidance counters
-    (pruned/deduped trials, arena traffic) accumulated in this worker
+    (deduped trials, arena traffic) accumulated in this worker
     while the job ran travel home with the result and fold into the
     submitting engine's :class:`EngineMetrics`.
     """
@@ -170,8 +170,8 @@ class EngineMetrics:
     requests: int = 0
     #: Wall-clock seconds spent in those requests, cumulatively.
     latency_seconds: float = 0.0
-    #: Injection trials whose masked faults exited the stacked forward
-    #: early (the pruning runtime's per-checkpoint events).
+    #: Always 0 (the injection runtime does not prune trials).  The
+    #: field exists only because ``perfbench/traced.py`` reads it.
     trials_pruned: int = 0
     #: Injection trials whose flip draws collapsed onto an
     #: already-evaluated representative (zero-flip or duplicate draws).
@@ -199,11 +199,8 @@ class EngineMetrics:
             text += f", {self.coalesced} coalesced"
         if self.cancelled:
             text += f", {self.cancelled} cancelled"
-        if self.trials_pruned or self.trials_deduped:
-            text += (
-                f"; {self.trials_pruned} trial(s) pruned, "
-                f"{self.trials_deduped} deduped"
-            )
+        if self.trials_deduped:
+            text += f"; {self.trials_deduped} deduped trial(s)"
         if self.arena_hits or self.arena_stores or self.arena_errors:
             text += f"; arena: {self.arena_hits} hit(s), {self.arena_stores} store(s)"
         if self.arena_errors:
@@ -248,7 +245,7 @@ class SimEngine:
     Parameters
     ----------
     backend:
-        Registered backend name (``"reference"`` or ``"fast"``; see
+        Registered backend name (``"reference"`` or ``"vector"``; see
         :func:`repro.engine.backend_names`).  Only consulted by job kinds
         that simulate on the array (:class:`~repro.engine.job.SimJob`).
     jobs:

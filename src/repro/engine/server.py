@@ -336,7 +336,7 @@ class EngineServer:
 
     def _run_counted(self, fn):
         """Run one engine call under the run lock, capturing the runtime
-        work-avoidance counters (pruned/deduped trials, arena traffic)
+        work-avoidance counters (deduped trials, arena traffic)
         it accumulated — the per-request delta the job-outcome counters
         in ``_handle_batch``/``_handle_stream`` cannot see, because the
         engine folds them straight into its lifetime stats."""
@@ -345,7 +345,6 @@ class EngineServer:
             value = fn()
             diff = self.engine.stats.since(before)
         return value, {
-            "trials_pruned": diff.trials_pruned,
             "trials_deduped": diff.trials_deduped,
             "arena_hits": diff.arena_hits,
             "arena_stores": diff.arena_stores,

@@ -1,15 +1,16 @@
 """The ``vector`` backend: whole-network stacked simulation as array folds.
 
-The ``fast`` backend already collapsed corner evaluation into a delay
-histogram, which left the per-cycle *trace* — carry chains, settle
-spans, sign flips — as the simulation's hot path.  This backend
-re-derives the identical trace statistics as a handful of whole-tensor
-passes over shared ``(pixels, PEs, groups, cycles)`` tiles, and — the
-whole-network fold — stacks every equal-shape width class of a *batch*
-of jobs (all layers and conv-group GEMMs of a network, submitted as one
-:class:`~repro.engine.job.NetworkJob`) along the group axis of those
-tiles, so the Python-level loop runs per width class of the network,
-not per layer:
+A cycle's triggered delay depends only on its ``(multiplier bits,
+toggle span)`` pair, so corner evaluation collapses into one delay
+histogram per job, which leaves the per-cycle *trace* — carry chains,
+settle spans, sign flips — as the simulation's hot path.  This backend
+derives the reference simulator's trace statistics as a handful of
+whole-tensor passes over shared ``(pixels, PEs, groups, cycles)``
+tiles, and — the whole-network fold — stacks every equal-shape width
+class of a *batch* of jobs (all layers and conv-group GEMMs of a
+network, submitted as one :class:`~repro.engine.job.NetworkJob`) along
+the group axis of those tiles, so the Python-level loop runs per width
+class of the network, not per layer:
 
 * **Field-domain arithmetic.**  Wrapped PSUM registers are congruences
   mod ``2**width``, so the entire register trace is
@@ -54,15 +55,14 @@ not per layer:
   elementwise-multiply + pairwise-sum contraction makes the TER
   bit-identical no matter how corners or jobs are batched.
 
-The contract is the same as ``fast``'s, enforced by
-``tests/test_backend_conformance.py`` and the differential fuzzer in
-:mod:`repro.engine.fuzz`: functional outputs and integer-valued
-statistics are bit-exact against ``reference``, TER agrees within 1e-9
-(float summation order is the only freedom), and the TER is
-bit-identical to ``fast``'s (both reduce the identical histogram
-through the shared pricing helper).  ``benchmarks/test_bench_engine.py``
-records the speedup (>= 25x over ``reference``) and the full-network
-TER wall clock into ``BENCH_engine.json``.
+The contract is enforced by ``tests/test_backend_conformance.py`` and
+the differential fuzzer in :mod:`repro.engine.fuzz`: functional outputs
+and integer-valued statistics are bit-exact against ``reference``, TER
+agrees within 1e-9 (float summation order is the only freedom), and a
+fused network batch is bit-identical to running its jobs one at a time.
+``benchmarks/test_bench_engine.py`` records the speedup (>= 12x over
+``reference``) and the full-network TER wall clock into
+``BENCH_engine.json``.
 """
 
 from __future__ import annotations
@@ -109,12 +109,11 @@ def _auto_block_elements() -> int:
     return int(min(max(_l2_cache_bytes() // 64, 16_000), 256_000))
 
 
-#: Peak per-temporary size of a batched tile, in elements.  Unlike the
-#: fast backend's bound (which only caps peak *memory*), this one is
-#: auto-tuned from the host's L2 size so the pipeline's handful of int32
-#: per-cycle buffers together stay cache-resident — the passes are
-#: memory-bound, and a cache-sized tile runs them several times faster
-#: than a DRAM-sized one.  Tiles are cut along whole ``pixel_chunk``
+#: Peak per-temporary size of a batched tile, in elements.  Beyond
+#: capping peak memory, it is auto-tuned from the host's L2 size so the
+#: pipeline's handful of int32 per-cycle buffers together stay
+#: cache-resident — the passes are memory-bound, and a cache-sized tile
+#: runs them several times faster than a DRAM-sized one.  Tiles are cut along whole ``pixel_chunk``
 #: multiples and along the stacked group axis.  Results are invariant to
 #: this value (pinned by ``tests/test_backend_conformance.py``, which
 #: monkeypatches it to 1); it is a module attribute precisely so tests

@@ -376,11 +376,10 @@ def run_campaign(
             "cancelled_shards": stats.cancelled,
             "executed_shards": sum(len(cell.results) for cell in cells),
             "recalled_shards": recalled_shards,
-            # Work-avoidance counters of the pruning injection runtime
-            # and the shared-memory operand arena.  Volatile by nature:
+            # Work-avoidance counters of the injection runtime's trial
+            # dedup and the shared-memory operand arena.  Volatile by nature:
             # resumed runs recall shards from the cache and never
             # re-execute the trials that produced these events.
-            "trials_pruned": stats.trials_pruned,
             "trials_deduped": stats.trials_deduped,
             "arena_hits": stats.arena_hits,
             "arena_stores": stats.arena_stores,
@@ -457,13 +456,9 @@ def render(result: CampaignResult) -> str:
             f"({totals['stopped_early']}/{totals['cells']} cells stopped early)"
         )
         + (
-            f"\nruntime: {run['trials_pruned']} trial(s) pruned, "
-            f"{run['trials_deduped']} deduped; arena: {run['arena_hits']} "
-            f"hit(s), {run['arena_stores']} store(s)"
-            if any(
-                run.get(k)
-                for k in ("trials_pruned", "trials_deduped", "arena_hits", "arena_stores")
-            )
+            f"\nruntime: {run['trials_deduped']} deduped trial(s); arena: "
+            f"{run['arena_hits']} hit(s), {run['arena_stores']} store(s)"
+            if any(run.get(k) for k in ("trials_deduped", "arena_hits", "arena_stores"))
             else ""
         )
     )

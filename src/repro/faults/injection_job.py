@@ -84,7 +84,7 @@ _PASS_CACHE_MAX_BYTES = 1 << 29  # 512 MB per worker process
 _MSB_CACHE: "OrderedDict[Tuple, Dict[str, int]]" = OrderedDict()
 _MSB_CACHE_MAX = 32
 
-#: Per-process work-avoidance counters of the pruning runtime and the
+#: Per-process work-avoidance counters of the trial-dedup runtime and the
 #: shared-memory operand arena.  Accumulated here (the execution layer),
 #: drained by the scheduler into :class:`~repro.engine.scheduler.EngineMetrics`
 #: — pool workers drain after each job and ship the deltas home with the
@@ -92,7 +92,6 @@ _MSB_CACHE_MAX = 32
 _RUNTIME_COUNTERS: Dict[str, int] = {}
 
 _RUNTIME_COUNTER_FIELDS = (
-    "trials_pruned",
     "trials_deduped",
     "arena_hits",
     "arena_stores",
@@ -101,7 +100,7 @@ _RUNTIME_COUNTER_FIELDS = (
 
 
 def record_runtime_counters(**deltas: int) -> None:
-    """Accumulate pruning/dedup/arena events in this process."""
+    """Accumulate dedup/arena events in this process."""
     for name, value in deltas.items():
         if name not in _RUNTIME_COUNTER_FIELDS:
             raise ConfigurationError(f"unknown runtime counter {name!r}")
@@ -529,9 +528,7 @@ def run_injection_trials(
             x, y, injectors, topk=topk, batch_size=batch_size, prefix=prefix,
             stats=stats,
         )
-        record_runtime_counters(
-            trials_pruned=stats.pruned, trials_deduped=stats.deduped
-        )
+        record_runtime_counters(trials_deduped=stats.deduped)
         flips = sum(inj.flips_injected for inj in injectors)
         return _with_counts(accuracies, flips, n_images)
 

@@ -39,46 +39,9 @@ from .variations import (
 )
 
 #: Backwards-compatible alias; the implementation lives in
-#: :func:`repro.hw.variations.gaussian_survival` so the batched backends
+#: :func:`repro.hw.variations.gaussian_survival` so the vector backend
 #: and the per-cycle DTA share one definition.
 _gaussian_sf = gaussian_survival
-
-
-def histogram_expected_errors(
-    delay_bins: np.ndarray,
-    n_spans: int,
-    delay_model: DelayModel,
-    corners,
-    clock_ps: float,
-) -> np.ndarray:
-    """Expected error count at each corner from a packed delay histogram.
-
-    The batched backends reduce a job to
-    ``delay_bins[mult_bits * n_spans + span] = cycle count``: the
-    triggered delay — and hence the per-corner error probability — is a
-    function of the bin, so the expected number of violating cycles is a
-    probability-weighted count sum over the occupied bins.  Delays come
-    from :meth:`DelayModel.bin_delays_ps` and probabilities from
-    :func:`repro.hw.variations.error_probability_matrix`, so each corner
-    prices a bin with the exact float expression of
-    :meth:`DynamicTimingAnalyzer.error_probabilities` — the only
-    difference from the per-cycle path is float summation order.
-
-    Returns one expected-error sum per corner, aligned with ``corners``.
-
-    The contraction is one elementwise multiply plus pairwise ``np.sum``
-    per corner rather than a matrix product or a BLAS dot: GEMM results
-    depend on the matrix shape and ``ddot`` on buffer alignment (its
-    SIMD prologue peels a different head per 64-byte offset), while
-    numpy's pairwise reduction runs in fixed index order — identical
-    values give an identical sum no matter how many corners (or, through
-    :func:`histogram_expected_errors_many`, how many jobs) share the
-    call.  This is the fused-corner/fused-network bit-equality contract
-    pinned by ``tests/test_backend_conformance.py``.
-    """
-    return histogram_expected_errors_many(
-        [delay_bins], n_spans, delay_model, [corners], clock_ps
-    )[0]
 
 
 def histogram_expected_errors_many(
@@ -90,15 +53,31 @@ def histogram_expected_errors_many(
 ):
     """Price many delay histograms against one shared probability grid.
 
-    Fused-pricing core of the ``vector`` backend's whole-network path:
-    the union of every job's occupied bins is priced once per distinct
+    The ``vector`` backend reduces a job to
+    ``delay_bins[mult_bits * n_spans + span] = cycle count``: the
+    triggered delay — and hence the per-corner error probability — is a
+    function of the bin, so the expected number of violating cycles is a
+    probability-weighted count sum over the occupied bins.  Delays come
+    from :meth:`DelayModel.bin_delays_ps` and probabilities from
+    :func:`repro.hw.variations.error_probability_matrix`, so each corner
+    prices a bin with the exact float expression of
+    :meth:`DynamicTimingAnalyzer.error_probabilities` — the only
+    difference from the per-cycle path is float summation order.
+
+    The union of every job's occupied bins is priced once per distinct
     corner (``bin_delays_ps`` and the probability rows are elementwise,
     so a union row restricted to one job's bins carries the exact floats
-    a solo :func:`histogram_expected_errors` call would compute), and
-    each job then contracts its own counts against its gathered row
-    subset with the same alignment-independent multiply-sum.  Results
-    are therefore bit-identical to pricing each ``(histogram, corners)``
-    pair alone.
+    a solo call would compute), and each job then contracts its own
+    counts against its gathered row subset.  The contraction is one
+    elementwise multiply plus pairwise ``np.sum`` per corner rather than
+    a matrix product or a BLAS dot: GEMM results depend on the matrix
+    shape and ``ddot`` on buffer alignment (its SIMD prologue peels a
+    different head per 64-byte offset), while numpy's pairwise reduction
+    runs in fixed index order — identical values give an identical sum
+    no matter how many corners or jobs share the call.  Results are
+    therefore bit-identical to pricing each ``(histogram, corners)``
+    pair alone: the fused-corner/fused-network bit-equality contract
+    pinned by ``tests/test_backend_conformance.py``.
 
     Returns one per-corner expected-error vector per job, aligned with
     ``delay_bins_list`` / ``corners_list``.

@@ -31,7 +31,6 @@ float — they are not in the MAC datapath under study.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -63,51 +62,18 @@ from .models import ClassifierNetwork
 #: Injection hook signature: (integer accumulators (pixels, K), layer) -> modified.
 Injector = Callable[[np.ndarray, "QuantizedConv"], np.ndarray]
 
-#: Gate for the pruning/dedup trial runtime ("0"/"false"/"no" disable it).
-INJECTION_PRUNE_ENV = "REPRO_INJECTION_PRUNE"
-
-#: A diverged trial class that has absorbed more flips than this skips
-#: the masked-trial compare at layer checkpoints: full-tensor equality
-#: is all but impossible there, and the compare costs a tensor scan.
-_PRUNE_CHECK_MAX_FLIPS = 64
-
-
-def injection_pruning_enabled(explicit: Optional[bool] = None) -> bool:
-    """Resolve the masked-trial pruning / effective-flip dedup gate.
-
-    ``explicit`` wins when given; otherwise ``REPRO_INJECTION_PRUNE``
-    selects between the pruning lanes walk and the legacy always-stacked
-    walk (default: pruning on).  The two runtimes are bit-identical —
-    the knob exists so conformance CI can prove that, and as an escape
-    hatch.
-    """
-    if explicit is not None:
-        return bool(explicit)
-    return os.environ.get(INJECTION_PRUNE_ENV, "1").strip().lower() not in (
-        "0",
-        "false",
-        "no",
-    )
-
 
 @dataclass
 class TrialBatchStats:
-    """Work-avoidance counters of one pruning-runtime stacked walk.
+    """Work-avoidance counters of one trial-batched lanes walk.
 
-    ``pruned`` counts (trial, checkpoint) events where a diverged
-    trial's tensor matched the fault-free activations and the trial
-    exited the stacked forward; ``deduped`` counts (trial, layer) events
-    where a trial's flip draw collapsed onto an already-evaluated
-    representative (zero-effective-flip draws rejoining the fault-free
-    lane, or duplicate flip patterns sharing one class).
+    ``deduped`` counts (trial, layer) events where a trial's flip draw
+    collapsed onto an already-evaluated representative
+    (zero-effective-flip draws staying in the fault-free lane, or
+    duplicate flip patterns sharing one class).
     """
 
-    pruned: int = 0
     deduped: int = 0
-
-    def merge(self, other: "TrialBatchStats") -> None:
-        self.pruned += other.pruned
-        self.deduped += other.deduped
 
 
 def fold_batchnorm(
@@ -627,13 +593,6 @@ def _to_nchw(x: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(x.transpose(0, 3, 1, 2))
 
 
-def _stack_trials(arr: np.ndarray, n_trials: int) -> np.ndarray:
-    """Tile an ``(N, ...)`` tensor into a trial-major ``(T*N, ...)`` copy."""
-    return np.broadcast_to(arr, (n_trials,) + arr.shape).reshape(
-        (n_trials * arr.shape[0],) + arr.shape[1:]
-    )
-
-
 @dataclass
 class FaultFreePass:
     """One recorded fault-free forward of a :class:`QuantizedNetwork`.
@@ -642,8 +601,9 @@ class FaultFreePass:
     same ``(network, inputs)`` pair share
 
     * ``op_outputs`` — each top-level op's output (channels-last, the
-      stacked walk's native layout), so layers before the first injected
-      layer cost nothing per campaign (the shared fault-free prefix);
+      trial walk's native layout), so trials in the fault-free lane —
+      every trial before the first injected layer — cost nothing per
+      campaign (the shared fault-free prefix);
     * ``acc`` / ``conv_out`` — every conv's raw integer accumulators and
       float output, so the *first* injected layer of a campaign re-uses
       the already-computed accumulators (its input is still fault-free)
@@ -671,7 +631,7 @@ class FaultFreePass:
 
 @dataclass
 class _LaneCtx:
-    """Shared context of one pruning-runtime walk (see ``_lane_conv``)."""
+    """Shared context of one trial-batched walk (see ``_lane_conv``)."""
 
     injectors: Sequence[Injector]
     injected: set
@@ -920,147 +880,8 @@ class QuantizedNetwork:
             pass_.op_outputs.append(_frozen(state))
         return pass_
 
-    @staticmethod
-    def _op_injected(op: object, injected: set) -> bool:
-        """Does this op contain a conv the campaign injects into?"""
-        if isinstance(op, QuantizedConv):
-            return op.name in injected
-        if isinstance(op, _QBlock):
-            return any(qc.name in injected for qc in op.qconvs())
-        return False
-
-    def _conv_trials(
-        self,
-        qc: QuantizedConv,
-        state: np.ndarray,
-        forked: bool,
-        injectors: Sequence[Injector],
-        injected: set,
-        prefix: FaultFreePass,
-    ) -> Tuple[np.ndarray, bool]:
-        """One conv under the stacked-trial walk.
-
-        Three cases: still fault-free (serve the cached output), fork
-        point (re-use the cached fault-free accumulators, pay only for
-        the per-trial flips), or already forked (one ``(T*N, ...)`` GEMM
-        for all trials, then per-trial flips).
-        """
-        n_trials = len(injectors)
-        if not forked:
-            if qc.name not in injected:
-                return prefix.conv_out[qc.name], False
-            n, h, w, _ = state.shape
-            acc0 = prefix.acc[qc.name]
-            acc = np.concatenate([inj(acc0, qc) for inj in injectors], axis=0)
-            return qc.epilogue_nhwc(acc, n_trials * n, h, w), True
-        tn, h, w, _ = state.shape
-        acc = qc.accumulate_nhwc(state)
-        if qc.name in injected:
-            per_trial = acc.reshape(n_trials, -1, acc.shape[1])
-            acc = np.concatenate(
-                [injectors[t](per_trial[t], qc) for t in range(n_trials)], axis=0
-            )
-        return qc.epilogue_nhwc(acc, tn, h, w), True
-
-    def _block_trials(
-        self,
-        block: _QBlock,
-        state: np.ndarray,
-        forked: bool,
-        injectors: Sequence[Injector],
-        injected: set,
-        prefix: FaultFreePass,
-    ) -> Tuple[np.ndarray, bool]:
-        """A residual block under the stacked-trial walk.
-
-        Main path and shortcut may fork independently (e.g. only the
-        shortcut conv is injected); whichever side stays fault-free is
-        tiled to the trial axis before the residual add.
-        """
-        n_trials = len(injectors)
-        main, f_main = self._conv_trials(
-            block.qconv1, state, forked, injectors, injected, prefix
-        )
-        main = np.maximum(main, 0.0)
-        main, f_main = self._conv_trials(
-            block.qconv2, main, f_main, injectors, injected, prefix
-        )
-        if block.qshortcut is not None:
-            short, f_short = self._conv_trials(
-                block.qshortcut, state, forked, injectors, injected, prefix
-            )
-        else:
-            short, f_short = state, forked
-        if f_main and not f_short:
-            short = _stack_trials(short, n_trials)
-        elif f_short and not f_main:
-            main = _stack_trials(main, n_trials)
-        return np.maximum(main + short, 0.0), f_main or f_short
-
-    def _prepare_trials(
-        self,
-        x: np.ndarray,
-        injectors: Sequence[Injector],
-        prefix: Optional[FaultFreePass],
-    ) -> Tuple[set, FaultFreePass]:
-        """Shared validation of the trial-batched entry points."""
-        if not self._calibrated:
-            raise QuantizationError("call calibrate(batch) before inference")
-        if not injectors:
-            raise QuantizationError("need at least one trial injector")
-        tables = [dict(getattr(inj, "ber_per_layer")) for inj in injectors]
-        if any(table != tables[0] for table in tables[1:]):
-            raise QuantizationError(
-                "trial injectors must share one BER table (trials differ by seed only)"
-            )
-        injected = {name for name, ber in tables[0].items() if ber > 0.0}
-        prefix = prefix if prefix is not None else self.fault_free_pass(x)
-        if prefix.n_images != x.shape[0]:
-            raise QuantizationError(
-                f"fault-free pass covers {prefix.n_images} images, got {x.shape[0]}"
-            )
-        return injected, prefix
-
-    def _forward_trials_stacked(
-        self,
-        x: np.ndarray,
-        injectors: Sequence[Injector],
-        injected: set,
-        prefix: FaultFreePass,
-    ) -> np.ndarray:
-        """The legacy always-stacked walk (``REPRO_INJECTION_PRUNE=0``).
-
-        Every trial runs every post-fork layer, redundant or not — the
-        conformance baseline the pruning lanes walk is proven
-        bit-identical against.
-        """
-        state, forked = _to_nhwc(x), False
-        for i, op in enumerate(self._ops):
-            if not forked and not self._op_injected(op, injected):
-                # Shared fault-free prefix: every op before the fork —
-                # convs, blocks, activations, pooling — is served from
-                # the recorded pass instead of recomputed.
-                state = prefix.op_outputs[i]
-            elif isinstance(op, QuantizedConv):
-                state, forked = self._conv_trials(
-                    op, state, forked, injectors, injected, prefix
-                )
-            elif isinstance(op, _QBlock):
-                state, forked = self._block_trials(
-                    op, state, forked, injectors, injected, prefix
-                )
-            elif isinstance(op, ReLU):
-                state = np.maximum(state, 0.0)
-            elif isinstance(op, Module):
-                state = self._module_nhwc(op, state)
-            else:  # pragma: no cover - defensive, mirrors _forward_features
-                raise TrainingError(f"unexpected op {op!r}")
-        if not forked:
-            state = _stack_trials(state, len(injectors))
-        return _to_nchw(state)
-
     # ------------------------------------------------------------------ #
-    # Pruning/dedup lanes walk
+    # Dedup lanes walk
     #
     # Trials are partitioned into a fault-free *lane* (assignment -1,
     # served entirely from the recorded pass — no tensors, no GEMMs) and
@@ -1068,23 +889,19 @@ class QuantizedNetwork:
     # owning one (N, ...) slice of a stacked state tensor.  At an
     # injected conv every trial draws its flip plan (preserving the
     # serial RNG streams and flip accounting exactly); trials whose
-    # plans select nothing stay in — or, combined with pruning, rejoin —
-    # the lane they were in, and trials with byte-identical plans on the
-    # same base class collapse into one representative.  After every
-    # top-level op, classes whose tensors have returned to the
-    # fault-free values (masked faults) dissolve back into the
-    # fault-free lane; they re-fork from the cached accumulators if a
-    # later layer is injected, which is what makes pruning exact
-    # everywhere.  Exactness of the whole walk is inductive: every class
-    # tensor is produced by the same deterministic integer ops, from the
-    # same inputs, as each member trial's tensor in the legacy walk.
+    # plans select nothing stay in the lane they were in, and trials
+    # with byte-identical plans on the same base class collapse into one
+    # representative.  Exactness of the whole walk is inductive: every
+    # class tensor is produced by the same deterministic integer ops,
+    # from the same inputs, as each member trial's tensor in the serial
+    # loop (``runtime="serial"``, the oracle).
     # ------------------------------------------------------------------ #
     def _lane_conv(
         self,
         qc: QuantizedConv,
-        lanes: Tuple[Optional[np.ndarray], List[int], List[int]],
+        lanes: Tuple[Optional[np.ndarray], List[int]],
         ctx: _LaneCtx,
-    ) -> Tuple[Optional[np.ndarray], List[int], List[int]]:
+    ) -> Tuple[Optional[np.ndarray], List[int]]:
         """One conv under the lanes walk.
 
         Non-injected: one stacked GEMM over the diverged classes (the
@@ -1092,11 +909,10 @@ class QuantizedNetwork:
         flip plan, re-partition trials by ``(source class, plan bytes)``,
         and materialize one accumulator tensor per distinct partition —
         fault-free-lane trials fork from the cached prefix accumulators,
-        so a trial only ever pays for layers where its faults are live.
+        so a trial only ever pays for layers after its first live fault.
         """
-        state, assign, flips = lanes
-        n_classes = len(flips)
-        n_trials = len(ctx.injectors)
+        state, assign = lanes
+        n_classes = 0 if state is None else state.shape[0] // ctx.n_images
         acc = qc.accumulate_nhwc(state) if n_classes else None
         rows = acc.shape[0] // n_classes if n_classes else 0
         ff_out = ctx.prefix.conv_out[qc.name]
@@ -1114,7 +930,7 @@ class QuantizedNetwork:
         if qc.name not in ctx.injected:
             if not n_classes:
                 return lanes
-            return dequant(acc), assign, flips
+            return dequant(acc), assign
 
         base_ff = ctx.prefix.acc[qc.name]
         plans = [
@@ -1126,8 +942,7 @@ class QuantizedNetwork:
         ]
         seen: Dict[Tuple[int, Optional[Tuple[bytes, bytes]]], int] = {}
         reps: List[np.ndarray] = []
-        new_flips: List[int] = []
-        new_assign = [-1] * n_trials
+        new_assign = [-1] * len(ctx.injectors)
         for t, plan in enumerate(plans):
             old = assign[t]
             if old < 0 and plan is None:
@@ -1141,25 +956,21 @@ class QuantizedNetwork:
                 c = len(reps)
                 seen[(old, sig)] = c
                 reps.append(ctx.injectors[t].apply_plan(base, plan))
-                new_flips.append(
-                    (flips[old] if old >= 0 else 0)
-                    + (0 if plan is None else len(plan[1]))
-                )
             else:
                 ctx.stats.deduped += 1
             new_assign[t] = c
         if not reps:
-            return None, new_assign, []
+            return None, new_assign
         acc_new = reps[0] if len(reps) == 1 else np.concatenate(reps, axis=0)
-        return dequant(acc_new), new_assign, new_flips
+        return dequant(acc_new), new_assign
 
     def _lane_block(
         self,
         block: _QBlock,
-        lanes: Tuple[Optional[np.ndarray], List[int], List[int]],
+        lanes: Tuple[Optional[np.ndarray], List[int]],
         ff_in: np.ndarray,
         ctx: _LaneCtx,
-    ) -> Tuple[Optional[np.ndarray], List[int], List[int]]:
+    ) -> Tuple[Optional[np.ndarray], List[int]]:
         """A residual block under the lanes walk.
 
         Main path and shortcut walk independently from the block-input
@@ -1169,21 +980,18 @@ class QuantizedNetwork:
         """
         main = self._lane_conv(block.qconv1, lanes, ctx)
         if main[0] is not None:
-            main = (np.maximum(main[0], 0.0), main[1], main[2])
-        main = self._lane_conv(block.qconv2, main, ctx)
+            main = (np.maximum(main[0], 0.0), main[1])
+        m_state, m_assign = self._lane_conv(block.qconv2, main, ctx)
         if block.qshortcut is not None:
-            short = self._lane_conv(block.qshortcut, lanes, ctx)
+            s_state, s_assign = self._lane_conv(block.qshortcut, lanes, ctx)
             short_ff = ctx.prefix.conv_out[block.qshortcut.name]
         else:
-            short = lanes
+            s_state, s_assign = lanes
             short_ff = ff_in
         main_ff = ctx.prefix.conv_out[block.qconv2.name]
-        m_state, m_assign, m_flips = main
-        s_state, s_assign, s_flips = short
         n = ctx.n_images
         seen: Dict[Tuple[int, int], int] = {}
         outs: List[np.ndarray] = []
-        new_flips: List[int] = []
         new_assign = [-1] * len(m_assign)
         for t in range(len(m_assign)):
             key = (m_assign[t], s_assign[t])
@@ -1196,72 +1004,41 @@ class QuantizedNetwork:
                 c = len(outs)
                 seen[key] = c
                 outs.append(np.maximum(m_t + s_t, 0.0))
-                new_flips.append(
-                    (m_flips[key[0]] if key[0] >= 0 else 0)
-                    + (s_flips[key[1]] if key[1] >= 0 else 0)
-                )
             new_assign[t] = c
         if not outs:
-            return None, new_assign, []
-        return np.concatenate(outs, axis=0), new_assign, new_flips
-
-    def _lane_prune(
-        self,
-        lanes: Tuple[Optional[np.ndarray], List[int], List[int]],
-        ff_out: np.ndarray,
-        ctx: _LaneCtx,
-    ) -> Tuple[Optional[np.ndarray], List[int], List[int]]:
-        """Masked-trial checkpoint after one top-level op.
-
-        A diverged class whose tensor equals the recorded fault-free
-        output has had every injected fault masked (typically by ReLU
-        or pooling); its trials dissolve back into the fault-free lane
-        and stop paying for the remaining layers.  Missing a prune is
-        only a missed optimization, so the compare is skipped for
-        classes carrying many flips (see ``_PRUNE_CHECK_MAX_FLIPS``).
-        """
-        state, assign, flips = lanes
-        n_classes = len(flips)
-        if not n_classes:
-            return lanes
-        n = ctx.n_images
-        drop = {
-            c
-            for c in range(n_classes)
-            if flips[c] <= _PRUNE_CHECK_MAX_FLIPS
-            and np.array_equal(state[c * n : (c + 1) * n], ff_out)
-        }
-        if not drop:
-            return lanes
-        kept = [c for c in range(n_classes) if c not in drop]
-        remap = {c: j for j, c in enumerate(kept)}
-        new_assign = []
-        for c in assign:
-            if c >= 0 and c in drop:
-                ctx.stats.pruned += 1
-                new_assign.append(-1)
-            else:
-                new_assign.append(remap[c] if c >= 0 else -1)
-        if not kept:
-            return None, new_assign, []
-        state_new = np.concatenate([state[c * n : (c + 1) * n] for c in kept], axis=0)
-        return state_new, new_assign, [flips[c] for c in kept]
+            return None, new_assign
+        return np.concatenate(outs, axis=0), new_assign
 
     def _forward_trials_lanes(
         self,
         x: np.ndarray,
         injectors: Sequence[Injector],
-        injected: set,
-        prefix: FaultFreePass,
-        stats: TrialBatchStats,
-    ) -> Tuple[Optional[np.ndarray], List[int], List[int]]:
-        """The pruning/dedup walk over the whole lowered pipeline."""
+        prefix: Optional[FaultFreePass],
+        stats: Optional[TrialBatchStats],
+    ) -> Tuple[Optional[np.ndarray], List[int], FaultFreePass]:
+        """The dedup walk over the whole lowered pipeline.
+
+        Returns the stacked class tensors, each trial's class (``-1``:
+        the fault-free lane) and the fault-free pass the walk used.
+        """
+        if not self._calibrated:
+            raise QuantizationError("call calibrate(batch) before inference")
+        if not injectors:
+            raise QuantizationError("need at least one trial injector")
+        tables = [dict(getattr(inj, "ber_per_layer")) for inj in injectors]
+        if any(table != tables[0] for table in tables[1:]):
+            raise QuantizationError(
+                "trial injectors must share one BER table (trials differ by seed only)"
+            )
+        injected = {name for name, ber in tables[0].items() if ber > 0.0}
+        prefix = prefix if prefix is not None else self.fault_free_pass(x)
+        if prefix.n_images != x.shape[0]:
+            raise QuantizationError(
+                f"fault-free pass covers {prefix.n_images} images, got {x.shape[0]}"
+            )
+        stats = stats if stats is not None else TrialBatchStats()
         ctx = _LaneCtx(injectors, injected, prefix, x.shape[0], stats)
-        lanes: Tuple[Optional[np.ndarray], List[int], List[int]] = (
-            None,
-            [-1] * len(injectors),
-            [],
-        )
+        lanes: Tuple[Optional[np.ndarray], List[int]] = (None, [-1] * len(injectors))
         for i, op in enumerate(self._ops):
             if isinstance(op, QuantizedConv):
                 lanes = self._lane_conv(op, lanes, ctx)
@@ -1270,21 +1047,19 @@ class QuantizedNetwork:
                 lanes = self._lane_block(op, lanes, ff_in, ctx)
             elif isinstance(op, ReLU):
                 if lanes[0] is not None:
-                    lanes = (np.maximum(lanes[0], 0.0), lanes[1], lanes[2])
+                    lanes = (np.maximum(lanes[0], 0.0), lanes[1])
             elif isinstance(op, Module):
                 if lanes[0] is not None:
-                    lanes = (self._module_nhwc(op, lanes[0]), lanes[1], lanes[2])
+                    lanes = (self._module_nhwc(op, lanes[0]), lanes[1])
             else:  # pragma: no cover - defensive, mirrors _forward_features
                 raise TrainingError(f"unexpected op {op!r}")
-            lanes = self._lane_prune(lanes, prefix.op_outputs[i], ctx)
-        return lanes
+        return lanes[0], lanes[1], prefix
 
     def forward_trials(
         self,
         x: np.ndarray,
         injectors: Sequence[Injector],
         prefix: Optional[FaultFreePass] = None,
-        prune: Optional[bool] = None,
         stats: Optional[TrialBatchStats] = None,
     ) -> np.ndarray:
         """All trials' quantized features in one stacked forward pass.
@@ -1293,21 +1068,13 @@ class QuantizedNetwork:
         :class:`~repro.faults.injection.BitFlipInjector` per trial);
         each must expose the campaign's common ``ber_per_layer`` table.
         Layers before the first injected layer are shared fault-free
-        work served from ``prefix``.  Under the default pruning runtime
-        (``prune``/``REPRO_INJECTION_PRUNE``, see
-        :func:`injection_pruning_enabled`) trials additionally exit the
-        stacked forward whenever their faults are masked or their flip
-        draws duplicate another trial's, with work-avoidance events
-        recorded into ``stats``; the legacy walk runs every trial
-        through every post-fork layer.  Both return the final pipeline
-        tensors shaped ``(T*N, classes, 1, 1)`` in trial-major order,
-        bit-identical to T independent serial forwards.
+        work served from ``prefix``, and trials whose flip draws select
+        nothing or duplicate another trial's share one tensor, with the
+        dedup events recorded into ``stats``.  Returns the final
+        pipeline tensors shaped ``(T*N, classes, 1, 1)`` in trial-major
+        order, bit-identical to T independent serial forwards.
         """
-        injected, prefix = self._prepare_trials(x, injectors, prefix)
-        if not injection_pruning_enabled(prune):
-            return self._forward_trials_stacked(x, injectors, injected, prefix)
-        stats = stats if stats is not None else TrialBatchStats()
-        state, assign, _ = self._forward_trials_lanes(x, injectors, injected, prefix, stats)
+        state, assign, prefix = self._forward_trials_lanes(x, injectors, prefix, stats)
         n = x.shape[0]
         ff_out = prefix.op_outputs[-1]
         parts = [ff_out if c < 0 else state[c * n : (c + 1) * n] for c in assign]
@@ -1321,45 +1088,36 @@ class QuantizedNetwork:
         topk: int = 1,
         batch_size: int = 128,
         prefix: Optional[FaultFreePass] = None,
-        prune: Optional[bool] = None,
         stats: Optional[TrialBatchStats] = None,
     ) -> List[float]:
         """Per-trial top-k accuracies from one stacked forward pass.
 
         The stacked walk covers the whole lowered pipeline (classifier
-        head included), so scoring is one flatten + top-k per trial —
-        and under the pruning runtime, one per *class* of bit-identical
-        trials, with exact correct-counts scattered back per trial.
-        Accuracies are bit-identical to running each trial through
-        :meth:`evaluate` at any batch size: every per-sample logit is an
-        exactly-dequantized integer accumulator, unaffected by chunking.
+        head included), so scoring is one flatten + top-k per *class* of
+        bit-identical trials, with exact correct-counts scattered back
+        per trial.  Accuracies are bit-identical to running each trial
+        through :meth:`evaluate` at any batch size: every per-sample
+        logit is an exactly-dequantized integer accumulator, unaffected
+        by chunking.
         """
-        injected, prefix = self._prepare_trials(x, injectors, prefix)
+        state, assign, prefix = self._forward_trials_lanes(x, injectors, prefix, stats)
         n = x.shape[0]
-
-        def chunked_correct(logits: np.ndarray) -> int:
-            correct = 0
-            for start in range(0, n, batch_size):
-                correct += F.topk_correct(
-                    logits[start : start + batch_size], y[start : start + batch_size], topk
-                )
-            return correct
-
-        if not injection_pruning_enabled(prune):
-            features = self._forward_trials_stacked(x, injectors, injected, prefix)
-            logits = features.reshape(len(injectors), n, -1)
-            return [chunked_correct(logits[t]) / n for t in range(len(injectors))]
-        stats = stats if stats is not None else TrialBatchStats()
-        state, assign, _ = self._forward_trials_lanes(x, injectors, injected, prefix, stats)
         counts: Dict[int, int] = {}
         accuracies: List[float] = []
         for c in assign:
             if c not in counts:
                 feat = prefix.op_outputs[-1] if c < 0 else state[c * n : (c + 1) * n]
-                counts[c] = chunked_correct(_to_nchw(feat).reshape(n, -1))
+                logits = _to_nchw(feat).reshape(n, -1)
+                counts[c] = sum(
+                    F.topk_correct(
+                        logits[start : start + batch_size],
+                        y[start : start + batch_size],
+                        topk,
+                    )
+                    for start in range(0, n, batch_size)
+                )
             accuracies.append(counts[c] / n)
         return accuracies
-
 
 # ---------------------------------------------------------------------- #
 # First-class matmul lowering: transformer GEMMs on the integer datapath
@@ -1680,8 +1438,8 @@ class QuantizedTokenNetwork:
     experiment/injection layers consume — ``calibrate`` / ``evaluate`` /
     ``evaluate_trials`` / ``fault_free_pass`` / ``set_injector`` /
     ``set_recording`` / ``qconvs`` (empty) / ``gemm_ops``.  The trial
-    runtime is the serial loop: attention re-mixes every token after a
-    flip, so the conv walk's masked-trial pruning has no analogue here.
+    runtime is the serial loop; the conv pipeline's dedup lanes walk has
+    no token-network counterpart.
     """
 
     def __init__(
@@ -1853,14 +1611,13 @@ class QuantizedTokenNetwork:
         topk: int = 1,
         batch_size: int = 128,
         prefix: Optional[FaultFreePass] = None,
-        prune: Optional[bool] = None,
         stats: Optional[TrialBatchStats] = None,
     ) -> List[float]:
         """Per-trial top-k accuracies (serial trial loop).
 
         Injector streams are keyed per ``(seed, layer name)`` and draws
         are chunk-invariant, so the serial loop is bit-identical to any
-        stacked evaluation — there is nothing for ``prefix`` / ``prune``
+        stacked evaluation — there is nothing for ``prefix`` / ``stats``
         to change; the arguments exist for runtime-surface parity.
         """
         if not self._calibrated:

@@ -9,13 +9,10 @@ scales, corner subsets and chunk/tile geometries — its reports must be
   integer-valued statistic, and
 * within 1e-9 on the float statistics (TER, sign-flip rate, mean chain
   length), float summation order being the only permitted freedom.
-  The two histogram backends (``fast``/``vector``) additionally agree
-  on TER *bit-for-bit* (they reduce identical delay histograms).
 
 By default every registered backend except ``reference`` is screened;
 ``pytest tests/test_backend_conformance.py --backend vector`` (the
-option is repeatable) restricts the run to the named candidate(s) —
-that is how the CI conformance job runs one matrix leg per backend.
+option is repeatable) restricts the run to the named candidate(s).
 
 The reference result of each case is computed once per session and
 shared across candidate backends.
@@ -24,8 +21,9 @@ On top of the fixed case catalog, a hypothesis-driven harness draws
 random :mod:`repro.scenarios`-shaped cells of the opened workload space
 — grouped/depthwise layers (one job per group GEMM), the classifier
 head lowered to a 1x1 conv, per-layer mixed-precision operand widths —
-and asserts, per drawn scenario, (a) the three backends' conformance on
-every group job *and* on the cycle-weighted layer aggregate, and (b)
+and asserts, per drawn scenario, (a) ``vector``'s conformance to
+``reference`` on every group job *and* on the cycle-weighted layer
+aggregate, with its fused network fold bit-equal to per-job runs, and (b)
 bit-identical per-trial accuracies from the serial and trial-batched
 injection runtimes on a quantized network built from the same draw.
 """
@@ -206,23 +204,9 @@ def test_conformance(case, backend, reference_reports):
 def test_conformance_under_tiling(backend, reference_reports, monkeypatch):
     """Results must not move when tiles shrink to a single pixel chunk."""
     monkeypatch.setattr(vector_module, "_MAX_BLOCK_ELEMENTS", 1)
-    from repro.engine import backends as backends_module
-
-    monkeypatch.setattr(backends_module, "_MAX_BLOCK_ELEMENTS", 1)
     for case in ("scale:wide", "scale:chunk-straddle", "output_stationary:reorder"):
         got = get_backend(backend).run(CASES[case])
         assert_conformant(reference_reports(case), got, backend)
-
-
-def test_conformance_ter_matches_fast_bitwise(backend):
-    """Histogram backends reduce identical histograms: TERs are equal."""
-    if backend == "fast":
-        pytest.skip("self-comparison")
-    job = CASES["output_stationary:cluster_then_reorder"]
-    fast = get_backend("fast").run(job)
-    got = get_backend(backend).run(job)
-    for corner_name in fast:
-        assert fast[corner_name].ter == got[corner_name].ter
 
 
 def test_backend_option_validates_names(pytestconfig):
@@ -243,20 +227,6 @@ SCENARIO_SETTINGS = settings(
 #: Corners every drawn scenario simulates (one stressed + ideal keeps
 #: each draw cheap while covering the zero-TER edge case).
 SCENARIO_CORNERS = (TER_EVAL_CORNER, IDEAL)
-
-
-@pytest.fixture(scope="module")
-def scenario_leg(pytestconfig):
-    """Run the scenario harness on one CI matrix leg only.
-
-    The hypothesis tests below always exercise all three backends (or,
-    for the runtime test, none), so re-running them on every
-    ``--backend`` leg would duplicate identical derandomized work.  They
-    ride the ``vector`` leg; an unrestricted local run keeps them too.
-    """
-    requested = pytestconfig.getoption("--backend")
-    if requested and "vector" not in requested:
-        pytest.skip("scenario harness runs on the vector conformance leg only")
 
 
 @hst.composite
@@ -315,38 +285,32 @@ def _scenario_group_jobs(cell):
 
 @SCENARIO_SETTINGS
 @given(cell=layer_scenarios())
-def test_scenario_conformance_across_backends(scenario_leg, cell):
-    """Per drawn scenario: all three backends agree on every group GEMM.
+def test_scenario_conformance_across_backends(cell):
+    """Per drawn scenario: ``vector`` matches ``reference`` on every group.
 
-    ``reference`` within the 1e-9 float contract, ``fast``/``vector``
-    TERs bit-for-bit — on each group job *and* on the cycle-weighted
-    layer aggregate (the number the per-layer reports print).
+    Within the 1e-9 float contract on each group job *and* on the
+    cycle-weighted layer aggregate (the number the per-layer reports
+    print); the fused network fold over all group GEMMs at once is
+    bit-equal to the per-job runs.
     """
     from repro.experiments.common import aggregate_group_reports
 
+    jobs = _scenario_group_jobs(cell)
+    vector = get_backend("vector")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", MappingFallbackWarning)
-        per_backend = {}
-        for backend in ("reference", "fast", "vector"):
-            per_backend[backend] = [
-                get_backend(backend).run(job) for job in _scenario_group_jobs(cell)
-            ]
-    for candidate in ("fast", "vector"):
-        for ref, got in zip(per_backend["reference"], per_backend[candidate]):
-            assert_conformant(ref, got, candidate)
-    aggregates = {
-        backend: aggregate_group_reports("layer", cell["strategy"], reports)
-        for backend, reports in per_backend.items()
-    }
+        ref = [get_backend("reference").run(job) for job in jobs]
+        solo = [vector.run(job) for job in jobs]
+        fused = vector.run_network(jobs)
+    for r, got, stacked in zip(ref, solo, fused):
+        assert_conformant(r, got, "vector")
+        assert_reports_identical(stacked, got, "fused")
+    ref_agg = aggregate_group_reports("layer", cell["strategy"], ref)
+    got_agg = aggregate_group_reports("layer", cell["strategy"], solo)
     for corner in SCENARIO_CORNERS:
-        fast_ter = aggregates["fast"].ter_by_corner[corner.name]
-        vector_ter = aggregates["vector"].ter_by_corner[corner.name]
-        # Identical histograms, identical weighted reduction: bit-equal.
-        assert fast_ter == vector_ter, (corner.name, fast_ter, vector_ter)
-        assert abs(aggregates["reference"].ter_by_corner[corner.name] - fast_ter) <= TOL
-    for fast_r, vector_r in zip(per_backend["fast"], per_backend["vector"]):
-        for corner_name in fast_r:
-            assert fast_r[corner_name].ter == vector_r[corner_name].ter
+        want = ref_agg.ter_by_corner[corner.name]
+        got = got_agg.ter_by_corner[corner.name]
+        assert abs(want - got) <= TOL, (corner.name, want, got)
 
 
 @hst.composite
@@ -399,23 +363,15 @@ def _matmul_job(cell):
 
 @SCENARIO_SETTINGS
 @given(cell=matmul_scenarios())
-def test_matmul_conformance_across_backends(scenario_leg, cell):
+def test_matmul_conformance_across_backends(cell):
     """Signed-operand matmul cells honor the same contract as conv GEMMs:
-    reference within 1e-9, fast/vector TERs bit-for-bit."""
+    ``vector`` within 1e-9 of ``reference``."""
     job = _matmul_job(cell)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", MappingFallbackWarning)
-        per_backend = {
-            backend: get_backend(backend).run(job)
-            for backend in ("reference", "fast", "vector")
-        }
-    for candidate in ("fast", "vector"):
-        assert_conformant(per_backend["reference"], per_backend[candidate], candidate)
-    for corner_name in per_backend["fast"]:
-        assert (
-            per_backend["fast"][corner_name].ter
-            == per_backend["vector"][corner_name].ter
-        )
+        ref = get_backend("reference").run(job)
+        got = get_backend("vector").run(job)
+    assert_conformant(ref, got, "vector")
 
 
 @hst.composite
@@ -474,7 +430,7 @@ def _build_scenario_network(cell):
 
 @SCENARIO_SETTINGS
 @given(cell=network_scenarios())
-def test_scenario_injection_runtimes_bit_identical(scenario_leg, cell):
+def test_scenario_injection_runtimes_bit_identical(cell):
     """Per drawn scenario: serial and batched runtimes agree bit-for-bit.
 
     The network realizes the draw's axes (depthwise mid layer, head as
@@ -516,7 +472,7 @@ def assert_reports_identical(a, b, context=""):
 
 @SCENARIO_SETTINGS
 @given(cell=layer_scenarios())
-def test_corner_fused_pricing_matches_single_corner_jobs(scenario_leg, cell):
+def test_corner_fused_pricing_matches_single_corner_jobs(cell):
     """Fused multi-corner pricing == one-corner-at-a-time, bit for bit.
 
     The fused kernel builds each job's delay histogram once and prices
@@ -527,45 +483,42 @@ def test_corner_fused_pricing_matches_single_corner_jobs(scenario_leg, cell):
     job = dataclasses.replace(
         _scenario_group_jobs(cell)[0], corners=PAPER_CORNERS
     )
+    vector = get_backend("vector")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", MappingFallbackWarning)
-        for backend in ("fast", "vector"):
-            fused = get_backend(backend).run(job)
-            for corner in PAPER_CORNERS:
-                single = get_backend(backend).run(
-                    dataclasses.replace(job, corners=(corner,))
-                )
-                assert_reports_identical(
-                    {corner.name: fused[corner.name]}, single, backend
-                )
+        fused = vector.run(job)
+        for corner in PAPER_CORNERS:
+            single = vector.run(dataclasses.replace(job, corners=(corner,)))
+            assert_reports_identical({corner.name: fused[corner.name]}, single)
 
 
-def _network_job_members():
-    """Distinct-key member jobs spanning dataflows, widths and scales."""
-    return [
-        CASES["output_stationary:baseline"],
-        CASES["weight_stationary:reorder"],
-        CASES["width:4x4x9"],
-        CASES["width:6x3x10"],
-        CASES["scale:wide"],
-        CASES["scale:1col"],
-    ]
+#: Distinct-key member jobs spanning dataflows, widths and scales.
+NETWORK_JOB_MEMBERS = (
+    "output_stationary:baseline",
+    "weight_stationary:reorder",
+    "width:4x4x9",
+    "width:6x3x10",
+    "scale:wide",
+    "scale:1col",
+)
 
 
-def test_network_job_equals_per_layer_jobs_with_cache_fanout(tmp_path):
+def test_network_job_equals_per_layer_jobs_with_cache_fanout(
+    tmp_path, reference_reports
+):
     """A stacked NetworkJob == its member SimJobs, through the cache.
 
-    Entry-for-entry bit-equality against direct per-job backend runs,
-    plus the cache fan-out contract: a cold stacked submission misses
-    once per *member* key, a warm per-layer cache fully satisfies a
-    later stacked submission, and a stacked run warms the per-layer
-    cache for solo submissions — across engine instances.
+    Entry-for-entry bit-equality against direct per-job backend runs
+    (and conformance to ``reference``), plus the cache fan-out contract:
+    a cold stacked submission misses once per *member* key, a warm
+    per-layer cache fully satisfies a later stacked submission, and a
+    stacked run warms the per-layer cache for solo submissions — across
+    engine instances.
     """
-    jobs = _network_job_members()
+    jobs = [CASES[name] for name in NETWORK_JOB_MEMBERS]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", MappingFallbackWarning)
         direct = [get_backend("vector").run(job) for job in jobs]
-        fast = [get_backend("fast").run(job) for job in jobs]
 
         engine = SimEngine(backend="vector", cache_dir=tmp_path)
         before = engine.stats.snapshot()
@@ -575,9 +528,7 @@ def test_network_job_equals_per_layer_jobs_with_cache_fanout(tmp_path):
     assert isinstance(stacked, list) and len(stacked) == len(jobs)
     for i, (got, want) in enumerate(zip(stacked, direct)):
         assert_reports_identical(got, want, f"stacked[{i}]")
-        # The stacked fold reduces the same histograms as fast: bit-equal.
-        for corner_name in got:
-            assert got[corner_name].ter == fast[i][corner_name].ter
+        assert_conformant(reference_reports(NETWORK_JOB_MEMBERS[i]), got, "vector")
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", MappingFallbackWarning)

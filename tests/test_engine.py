@@ -1,9 +1,9 @@
 """Engine tests: backend equivalence, cache semantics, job hashing.
 
 The heart of this module is the equivalence matrix required before the
-``fast`` backend may substitute for the reference simulator anywhere:
+``vector`` backend may substitute for the reference simulator anywhere:
 across both dataflows, all paper PVTA corners and all three mapping
-strategies, ``fast`` must reproduce the reference
+strategies, ``vector`` must reproduce the reference
 ``LayerReliabilityReport`` bit-exactly on functional outputs and
 integer-valued statistics, and within 1e-9 on the TER.  Property tests
 cover the planner's output-channel permutation (always a bijection) and
@@ -51,10 +51,10 @@ def make_job(seed=0, n_pixels=13, c_eff=24, k=8, **kwargs):
     return SimJob(acts=acts, weights=weights, **kwargs)
 
 
-def assert_reports_equivalent(ref, fast, tol=1e-9):
-    assert set(ref) == set(fast)
+def assert_reports_equivalent(ref, got, tol=1e-9):
+    assert set(ref) == set(got)
     for name in ref:
-        r, f = ref[name], fast[name]
+        r, f = ref[name], got[name]
         assert np.array_equal(r.outputs, f.outputs)
         assert r.outputs.dtype == f.outputs.dtype
         assert abs(r.ter - f.ter) <= tol
@@ -67,7 +67,7 @@ def assert_reports_equivalent(ref, fast, tol=1e-9):
 
 
 class TestBackendEquivalence:
-    """``fast`` must be indistinguishable from ``reference``."""
+    """``vector`` must be indistinguishable from ``reference``."""
 
     @pytest.mark.parametrize("dataflow", list(Dataflow))
     @pytest.mark.parametrize("strategy", list(MappingStrategy))
@@ -79,9 +79,9 @@ class TestBackendEquivalence:
             pixel_chunk=5,  # 13 pixels -> chunks of 5, 5, 3
         )
         ref = get_backend("reference").run(job)
-        fast = get_backend("fast").run(job)
+        got = get_backend("vector").run(job)
         assert len(ref) == len(PAPER_CORNERS)
-        assert_reports_equivalent(ref, fast)
+        assert_reports_equivalent(ref, got)
 
     @pytest.mark.parametrize("n_pixels", [1, 4, 11])
     def test_weight_stationary_chunk_boundaries(self, n_pixels):
@@ -95,7 +95,7 @@ class TestBackendEquivalence:
             pixel_chunk=5,
         )
         assert_reports_equivalent(
-            get_backend("reference").run(job), get_backend("fast").run(job)
+            get_backend("reference").run(job), get_backend("vector").run(job)
         )
 
     def test_equivalence_with_indivisible_k(self):
@@ -105,13 +105,13 @@ class TestBackendEquivalence:
             job = make_job(seed=5, k=10, strategy=MappingStrategy.CLUSTER_THEN_REORDER)
             ref = get_backend("reference").run(job)
         with pytest.warns(MappingFallbackWarning):
-            fast = get_backend("fast").run(job)
-        assert_reports_equivalent(ref, fast)
+            got = get_backend("vector").run(job)
+        assert_reports_equivalent(ref, got)
 
     def test_equivalence_under_pixel_blocking(self, monkeypatch):
-        # Force the fast backend's memory-bounding pixel blocks to be
-        # tiny so a job spans several blocks; results must not move.
-        from repro.engine import backends
+        # Force the vector backend's tiles down to one pixel chunk so a
+        # job spans several blocks; results must not move.
+        from repro.engine import vector
 
         job = make_job(
             seed=21,
@@ -120,30 +120,30 @@ class TestBackendEquivalence:
             config=AcceleratorConfig(dataflow=Dataflow.WEIGHT_STATIONARY),
             pixel_chunk=4,
         )
-        unblocked = get_backend("fast").run(job)
-        monkeypatch.setattr(backends, "_MAX_BLOCK_ELEMENTS", 1)  # 1 chunk per block
-        blocked = get_backend("fast").run(job)
+        unblocked = get_backend("vector").run(job)
+        monkeypatch.setattr(vector, "_MAX_BLOCK_ELEMENTS", 1)  # 1 chunk per block
+        blocked = get_backend("vector").run(job)
         ref = get_backend("reference").run(job)
         assert_reports_equivalent(ref, blocked)
         assert_reports_equivalent(unblocked, blocked)
 
     def test_equivalence_with_out_of_range_operands(self):
         # Operands wider than the configured MAC datapath (SimJob does
-        # not range-check, matching run_gemm_corners): the fast backend's
+        # not range-check, matching run_gemm_corners): the vector backend's
         # delay histogram must grow rather than crash.
         rng = np.random.default_rng(17)
         acts = rng.integers(0, 70000, size=(6, 8))
         weights = rng.integers(-3, 4, size=(8, 4))
         job = SimJob(acts=acts, weights=weights, corners=PAPER_CORNERS, group_size=2)
         assert_reports_equivalent(
-            get_backend("reference").run(job), get_backend("fast").run(job)
+            get_backend("reference").run(job), get_backend("vector").run(job)
         )
 
-    def test_fast_matches_expected_ber_helper(self):
+    def test_vector_matches_expected_ber_helper(self):
         job = make_job(seed=9)
         ref = get_backend("reference").run(job)[TER_EVAL_CORNER.name]
-        fast = get_backend("fast").run(job)[TER_EVAL_CORNER.name]
-        assert abs(ref.expected_output_ber() - fast.expected_output_ber()) < 1e-9
+        got = get_backend("vector").run(job)[TER_EVAL_CORNER.name]
+        assert abs(ref.expected_output_ber() - got.expected_output_ber()) < 1e-9
 
 
 class TestPlanPermutationProperty:
@@ -191,8 +191,8 @@ class TestResultCache:
         # Backends are interchangeable (equivalence suite above), so the
         # cache key deliberately excludes the backend name.
         job = make_job(seed=12)
-        fast_engine = SimEngine(backend="fast", cache_dir=tmp_path)
-        cold = fast_engine.run(job)
+        vector_engine = SimEngine(backend="vector", cache_dir=tmp_path)
+        cold = vector_engine.run(job)
         ref_engine = SimEngine(backend="reference", cache_dir=tmp_path)
         warm = ref_engine.run(job)
         assert ref_engine.stats.hits == 1
@@ -209,7 +209,7 @@ class TestResultCache:
         assert not path.exists()  # removed so it cannot keep missing
 
     def test_clear_and_len(self, tmp_path):
-        engine = SimEngine(backend="fast", cache_dir=tmp_path)
+        engine = SimEngine(backend="vector", cache_dir=tmp_path)
         engine.run_many([make_job(seed=s) for s in (20, 21)])
         cache = engine.cache
         assert len(cache) == 2
@@ -226,7 +226,7 @@ class TestResultCache:
         assert orphan.exists()  # clear() must not race a concurrent store
 
     def test_strict_job_raises_even_on_cache_hit(self, tmp_path):
-        engine = SimEngine(backend="fast", cache_dir=tmp_path)
+        engine = SimEngine(backend="vector", cache_dir=tmp_path)
         with pytest.warns(MappingFallbackWarning):
             relaxed = make_job(k=10, strategy=MappingStrategy.CLUSTER_THEN_REORDER)
             engine.run(relaxed)  # caches the degraded fallback result
@@ -237,7 +237,7 @@ class TestResultCache:
             engine.run(strict_twin)
 
     def test_fallback_warning_survives_cache_hit(self, tmp_path):
-        engine = SimEngine(backend="fast", cache_dir=tmp_path)
+        engine = SimEngine(backend="vector", cache_dir=tmp_path)
         with pytest.warns(MappingFallbackWarning):
             engine.run(make_job(k=10, strategy=MappingStrategy.CLUSTER_THEN_REORDER))
         with pytest.warns(MappingFallbackWarning):  # hit must stay loud
@@ -245,7 +245,7 @@ class TestResultCache:
         assert engine.stats.hits == 1
 
     def test_fallback_warning_fires_exactly_once_per_inline_miss(self):
-        engine = SimEngine(backend="fast", use_cache=False)
+        engine = SimEngine(backend="vector", use_cache=False)
         job = make_job(k=10, strategy=MappingStrategy.CLUSTER_THEN_REORDER)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -286,7 +286,7 @@ class TestOnePassDecode:
     def test_cache_load_reads_each_member_once(self, tmp_path, member_reads):
         job = make_job(seed=30)
         assert len(job.corners) == 6
-        result = get_backend("fast").run(job)
+        result = get_backend("vector").run(job)
         cache = ResultCache(tmp_path)
         cache.store(job.key(), job, result)
         member_reads.clear()
@@ -296,7 +296,7 @@ class TestOnePassDecode:
 
     def test_protocol_decode_reads_each_member_once(self, member_reads):
         job = make_job(seed=31)
-        result = get_backend("fast").run(job)
+        result = get_backend("vector").run(job)
         blob = encode_result(job, result)
         decoded = decode_result(job, blob)
         assert set(member_reads) == set(SimJob.serialize_result(result))
@@ -313,7 +313,7 @@ class TestResultMemo:
         job = make_job(seed=32)
         cache = ResultCache(tmp_path)
         with cache.memo():
-            path = cache.store(job.key(), job, get_backend("fast").run(job))
+            path = cache.store(job.key(), job, get_backend("vector").run(job))
             monkeypatch.setattr(cache_module, "read_npz", _no_disk_reads)
             served = cache.load(job.key(), job)
         monkeypatch.undo()
@@ -328,7 +328,7 @@ class TestResultMemo:
     def test_loaded_entry_is_read_from_disk_once(self, tmp_path, monkeypatch):
         job = make_job(seed=33)
         cache = ResultCache(tmp_path)
-        cache.store(job.key(), job, get_backend("fast").run(job))
+        cache.store(job.key(), job, get_backend("vector").run(job))
         reads = []
         monkeypatch.setattr(
             cache_module, "read_npz", lambda handle: reads.append(1) or read_npz(handle)
@@ -344,7 +344,7 @@ class TestResultMemo:
         job = make_job(seed=34)
         cache = ResultCache(tmp_path)
         with cache.memo():
-            cache.store(job.key(), job, get_backend("fast").run(job))
+            cache.store(job.key(), job, get_backend("vector").run(job))
             # Same key, other kind: the memo entry must not answer it.
             assert cache.load(job.key(), NetworkJob(jobs=(job,))) is None
 
@@ -353,7 +353,7 @@ class TestResultMemo:
         cache = ResultCache(tmp_path)
         with pytest.raises(RuntimeError):
             with cache.memo():
-                cache.store(job.key(), job, get_backend("fast").run(job))
+                cache.store(job.key(), job, get_backend("vector").run(job))
                 assert cache._memo
                 raise RuntimeError("boom")
         assert cache._memo is None
@@ -362,15 +362,15 @@ class TestResultMemo:
         job = make_job(seed=36)
         cache = ResultCache(tmp_path)
         with cache.memo():
-            cache.store(job.key(), job, get_backend("fast").run(job))
+            cache.store(job.key(), job, get_backend("vector").run(job))
             cache.clear()
             assert cache.load(job.key(), job) is None
 
     def test_hit_counts_match_without_memo(self, tmp_path):
         jobs = [make_job(seed=s) for s in (37, 38)]
-        SimEngine(backend="fast", cache_dir=tmp_path).run_many(jobs)
-        plain = SimEngine(backend="fast", cache_dir=tmp_path)
-        memoized = SimEngine(backend="fast", cache_dir=tmp_path)
+        SimEngine(backend="vector", cache_dir=tmp_path).run_many(jobs)
+        plain = SimEngine(backend="vector", cache_dir=tmp_path)
+        memoized = SimEngine(backend="vector", cache_dir=tmp_path)
         for _ in range(2):
             plain.run_many(jobs)
         with memoized.cache.memo():
@@ -406,19 +406,19 @@ class TestJobKey:
 
 class TestScheduler:
     def test_run_many_preserves_order_with_mixed_hits(self, tmp_path):
-        engine = SimEngine(backend="fast", cache_dir=tmp_path)
+        engine = SimEngine(backend="vector", cache_dir=tmp_path)
         jobs = [make_job(seed=s, strategy=MappingStrategy.BASELINE) for s in range(3)]
         engine.run(jobs[1])  # pre-populate the middle job
         results = engine.run_many(jobs)
         for job, reports in zip(jobs, results):
-            direct = get_backend("fast").run(job)
+            direct = get_backend("vector").run(job)
             assert np.array_equal(
                 reports[TER_EVAL_CORNER.name].outputs, direct[TER_EVAL_CORNER.name].outputs
             )
         assert engine.stats.hits == 1
 
     def test_same_key_jobs_deduplicate_within_batch(self, tmp_path):
-        engine = SimEngine(backend="fast", cache_dir=tmp_path)
+        engine = SimEngine(backend="vector", cache_dir=tmp_path)
         job = make_job(seed=60)
         twin = make_job(seed=60, label="relabelled")  # same key, new label
         results = engine.run_many([job, twin, make_job(seed=61)])
@@ -430,7 +430,7 @@ class TestScheduler:
 
     def test_no_dedup_without_cache(self):
         # With the cache off no keys are derived; every job executes.
-        engine = SimEngine(backend="fast", use_cache=False)
+        engine = SimEngine(backend="vector", use_cache=False)
         job = make_job(seed=62)
         engine.run_many([job, job])
         assert engine.stats.misses == 2
@@ -438,8 +438,8 @@ class TestScheduler:
 
     def test_process_pool_matches_inline(self, tmp_path):
         jobs = [make_job(seed=s) for s in (40, 41, 42)]
-        inline = SimEngine(backend="fast", use_cache=False).run_many(jobs)
-        pooled = SimEngine(backend="fast", jobs=2, use_cache=False).run_many(jobs)
+        inline = SimEngine(backend="vector", use_cache=False).run_many(jobs)
+        pooled = SimEngine(backend="vector", jobs=2, use_cache=False).run_many(jobs)
         for i, p in zip(inline, pooled):
             assert_reports_equivalent(i, p, tol=0.0)
 
@@ -450,7 +450,7 @@ class TestScheduler:
             make_job(seed=s, k=10, strategy=MappingStrategy.CLUSTER_THEN_REORDER)
             for s in (50, 51)
         ]
-        engine = SimEngine(backend="fast", jobs=2, use_cache=False)
+        engine = SimEngine(backend="vector", jobs=2, use_cache=False)
         with pytest.warns(MappingFallbackWarning):
             engine.run_many(jobs)
 
@@ -475,10 +475,11 @@ class TestScheduler:
         with pytest.raises(ConfigurationError):
             get_backend("nope")
         with pytest.raises(ConfigurationError):
-            register_backend("fast", lambda: None)  # duplicate name
+            register_backend("vector", lambda: None)  # duplicate name
 
     def test_backend_names(self):
-        assert {"reference", "fast"} <= set(backend_names())
+        assert {"reference", "vector"} <= set(backend_names())
+        assert "fast" not in backend_names()
 
 
 class TestSimJobValidation:
@@ -548,7 +549,7 @@ class TestStrictPlanning:
     def test_strict_job_raises_at_plan_time(self):
         job = make_job(k=10, strategy=MappingStrategy.CLUSTER_THEN_REORDER, strict=True)
         with pytest.raises(MappingError):
-            get_backend("fast").run(job)
+            get_backend("vector").run(job)
 
     def test_no_warning_when_clustering_succeeds(self):
         rng = np.random.default_rng(0)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.cli import main as cli_main
-from repro.engine.backends import _REGISTRY, FastBackend, register_backend
+from repro.engine.backends import _REGISTRY, VectorBackend, register_backend
 from repro.engine.fuzz import (
     FuzzCase,
     build_jobs,
@@ -109,8 +109,8 @@ def test_repro_command_is_replayable():
     assert FuzzCase.from_spec(spec) == case
 
 
-class _BrokenBackend(FastBackend):
-    """fast, with one output element corrupted: the mutant to catch."""
+class _BrokenBackend(VectorBackend):
+    """vector, with one output element corrupted: the mutant to catch."""
 
     name = "broken-mutant"
 
@@ -123,8 +123,8 @@ class _BrokenBackend(FastBackend):
         return reports
 
 
-class _BrokenTerBackend(FastBackend):
-    """fast, with the TER nudged past tolerance: a pricing mutant."""
+class _BrokenTerBackend(VectorBackend):
+    """vector, with the TER nudged past tolerance: a pricing mutant."""
 
     name = "broken-ter-mutant"
 

@@ -11,9 +11,6 @@ fixed by the *full-batch* fault-free accumulators, so chunking cannot
 move a single flip (the old per-chunk ``active_msb`` trap).
 """
 
-import os
-from contextlib import contextmanager
-
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -28,27 +25,9 @@ from repro.faults import (
     run_injection_trials,
 )
 from repro.faults.injection_job import _pass_msbs
-from repro.nn.quantize import (
-    INJECTION_PRUNE_ENV,
-    TrialBatchStats,
-    injection_pruning_enabled,
-)
+from repro.nn.quantize import TrialBatchStats
 
 MICRO = SCALES["micro"]
-
-
-@contextmanager
-def prune_env(enabled):
-    """Pin ``$REPRO_INJECTION_PRUNE`` for one block (restores on exit)."""
-    before = os.environ.get(INJECTION_PRUNE_ENV)
-    os.environ[INJECTION_PRUNE_ENV] = "1" if enabled else "0"
-    try:
-        yield
-    finally:
-        if before is None:
-            os.environ.pop(INJECTION_PRUNE_ENV, None)
-        else:
-            os.environ[INJECTION_PRUNE_ENV] = before
 
 
 @pytest.fixture(scope="module")
@@ -106,6 +85,7 @@ class TestRuntimeEquivalence:
         serial = campaign(vgg, "serial", **kwargs)
         batched = campaign(vgg, "batched", **kwargs)
         assert serial.trial_accuracies == batched.trial_accuracies
+        assert serial.trial_correct == batched.trial_correct
         assert serial.flips_injected == batched.flips_injected
 
     def test_resnet_blocks_and_shortcuts(self, resnet):
@@ -169,22 +149,13 @@ class TestRuntimeEquivalence:
 
 
 class TestPruningEquivalence:
-    """Masked-trial pruning + effective-flip dedup are exactness-preserving.
+    """Effective-flip dedup is exactness-preserving.
 
-    The pruning runtime (fault-free lane, plan-signature dedup, masked
-    re-join checkpoints) must be bit-identical to both the pruning-
-    disabled stacked walk and the serial reference — for every BER
-    decade (the low decades are where pruning actually fires), seed,
-    batch size, trial count and layer subset.
+    The batched lanes walk (fault-free lane, plan-signature dedup) must
+    be bit-identical to the serial reference loop at the low BER decades
+    where most draws are empty, across residual blocks and shard
+    partitions, and must collapse duplicate or empty draws.
     """
-
-    def test_gate_resolution(self):
-        with prune_env(True):
-            assert injection_pruning_enabled() is True
-            assert injection_pruning_enabled(False) is False
-        with prune_env(False):
-            assert injection_pruning_enabled() is False
-            assert injection_pruning_enabled(True) is True
 
     @settings(
         max_examples=8, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -199,6 +170,8 @@ class TestPruningEquivalence:
     def test_property_prune_invariance(
         self, vgg, ber, base_seed, batch_size, n_trials, n_layers
     ):
+        # The low decades are where most draws are empty and the lanes
+        # walk keeps trials on (or dedups them into) the fault-free lane.
         kwargs = dict(
             ber=ber,
             base_seed=base_seed,
@@ -206,49 +179,45 @@ class TestPruningEquivalence:
             n_trials=n_trials,
             n_layers=n_layers,
         )
-        with prune_env(False):
-            off = campaign(vgg, "batched", **kwargs)
-        with prune_env(True):
-            on = campaign(vgg, "batched", **kwargs)
+        batched = campaign(vgg, "batched", **kwargs)
         serial = campaign(vgg, "serial", **kwargs)
-        assert on.trial_accuracies == off.trial_accuracies == serial.trial_accuracies
-        assert on.trial_correct == off.trial_correct == serial.trial_correct
-        assert on.flips_injected == off.flips_injected == serial.flips_injected
+        assert batched.trial_accuracies == serial.trial_accuracies
+        assert batched.trial_correct == serial.trial_correct
+        assert batched.flips_injected == serial.flips_injected
 
     def test_prune_invariance_on_resnet_blocks(self, resnet):
-        # Pruned trials re-join the fault-free lane mid-network; residual
-        # blocks (and shortcut forks) must observe the re-joined classes.
+        # Trials diverge in some blocks and not others; residual blocks
+        # (and shortcut forks) must join the fault-free lane with the
+        # diverged classes exactly.
         names = [qc.name for qc in resnet.qnet.qconvs(include_shortcuts=True)]
         bers = {name: 2e-6 for name in names}
         x, y = resnet.x_test[:16], resnet.y_test[:16]
-        runs = {}
-        for enabled in (False, True):
-            with prune_env(enabled):
-                runs[enabled] = run_injection_trials(
-                    resnet.qnet, x, y, bers, n_trials=3, base_seed=3,
-                    runtime="batched",
-                )
-        assert runs[True].trial_accuracies == runs[False].trial_accuracies
-        assert runs[True].flips_injected == runs[False].flips_injected
+        runs = {
+            runtime: run_injection_trials(
+                resnet.qnet, x, y, bers, n_trials=3, base_seed=3, runtime=runtime
+            )
+            for runtime in ("serial", "batched")
+        }
+        assert runs["batched"].trial_accuracies == runs["serial"].trial_accuracies
+        assert runs["batched"].flips_injected == runs["serial"].flips_injected
 
     def test_prune_invariance_across_shard_partitions(self, vgg):
-        # Shards of [0, 6) executed pruned must merge into the monolithic
-        # pruning-disabled result bit for bit: trial_offset seeds and the
-        # lanes walk compose.
+        # Shards of [0, 6) executed batched must merge into the monolithic
+        # serial result bit for bit: trial_offset seeds and the lanes
+        # walk compose.
         names = [qc.name for qc in vgg.qnet.qconvs()[:3]]
         bers = {name: 3e-6 for name in names}
         x, y = vgg.x_test[:18], vgg.y_test[:18]
 
-        def shard(lo, hi, enabled):
-            with prune_env(enabled):
-                return run_injection_trials(
-                    vgg.qnet, x, y, bers, n_trials=hi - lo, trial_offset=lo,
-                    base_seed=7, runtime="batched", batch_size=7,
-                )
+        def shard(lo, hi, runtime):
+            return run_injection_trials(
+                vgg.qnet, x, y, bers, n_trials=hi - lo, trial_offset=lo,
+                base_seed=7, runtime=runtime, batch_size=7,
+            )
 
-        mono = shard(0, 6, False)
+        mono = shard(0, 6, "serial")
         for cuts in ([(0, 6)], [(0, 2), (2, 5), (5, 6)], [(0, 3), (3, 6)]):
-            merged = merge_results([shard(lo, hi, True) for lo, hi in cuts])
+            merged = merge_results([shard(lo, hi, "batched") for lo, hi in cuts])
             assert merged.trial_accuracies == mono.trial_accuracies
             assert merged.trial_correct == mono.trial_correct
             assert merged.flips_injected == mono.flips_injected
@@ -262,25 +231,16 @@ class TestPruningEquivalence:
         msbs = _pass_msbs(prefix, 3)
         names = [qc.name for qc in vgg.qnet.qconvs()[:3]]
         bers = {name: 2e-3 for name in names}
-
-        def trio():
-            return [
-                BitFlipInjector(bers, seed=11, msb_per_layer=msbs)
-                for _ in range(3)
-            ]
-
         stats = TrialBatchStats()
-        on = vgg.qnet.evaluate_trials(
-            x, y, trio(), prefix=prefix, prune=True, stats=stats
-        )
-        off = vgg.qnet.evaluate_trials(x, y, trio(), prefix=prefix, prune=False)
-        assert on == off
-        assert on[0] == on[1] == on[2]
+        trio = [BitFlipInjector(bers, seed=11, msb_per_layer=msbs) for _ in range(3)]
+        accs = vgg.qnet.evaluate_trials(x, y, trio, prefix=prefix, stats=stats)
+        solo = BitFlipInjector(bers, seed=11, msb_per_layer=msbs)
+        assert accs == [vgg.qnet.evaluate(x, y, injector=solo)] * 3
         # Per injected conv, trials 1 and 2 join trial 0's class.
         assert stats.deduped >= 2 * len(names)
 
     def test_masked_trials_return_to_fault_free_lane(self, vgg):
-        # At a vanishing BER every draw is empty: all trials collapse to
+        # At a vanishing BER every draw is empty: all trials stay in
         # the fault-free lane (counted as dedup) and score exactly the
         # fault-free accuracy.
         x, y = vgg.x_test[:16], vgg.y_test[:16]
@@ -292,9 +252,7 @@ class TestPruningEquivalence:
             BitFlipInjector(bers, seed=s, msb_per_layer=msbs) for s in (1, 2)
         ]
         stats = TrialBatchStats()
-        accs = vgg.qnet.evaluate_trials(
-            x, y, injectors, prefix=prefix, prune=True, stats=stats
-        )
+        accs = vgg.qnet.evaluate_trials(x, y, injectors, prefix=prefix, stats=stats)
         assert sum(inj.flips_injected for inj in injectors) == 0
         assert stats.deduped == 2 * len(names)
         fault_free = vgg.qnet.evaluate(x, y)

@@ -41,12 +41,12 @@ def sweeps(tmp_path_factory):
     cold = run_all(
         scale=SMALLEST,
         artifacts_dir=root / "cold",
-        engine=SimEngine(backend="fast", jobs=1, cache_dir=cache),
+        engine=SimEngine(backend="vector", jobs=1, cache_dir=cache),
     )
     warm = run_all(
         scale=SMALLEST,
         artifacts_dir=root / "warm",
-        engine=SimEngine(backend="fast", jobs=1, cache_dir=cache),
+        engine=SimEngine(backend="vector", jobs=1, cache_dir=cache),
     )
     return cold, warm
 
@@ -66,7 +66,7 @@ class TestManifest:
     def test_engine_and_scale_recorded(self, sweeps):
         cold, _ = sweeps
         assert cold.manifest["scale"] == SMALLEST.name
-        assert cold.manifest["engine"] == {"backend": "fast", "jobs": 1, "cache": True}
+        assert cold.manifest["engine"] == {"backend": "vector", "jobs": 1, "cache": True}
 
     def test_every_simulating_figure_submits_only_engine_jobs(self, sweeps):
         cold, _ = sweeps
@@ -132,7 +132,7 @@ class TestResultMemo:
     NAMES = ["fig7"]  # the cheapest simulating runner
 
     def _run(self, root, label, monkeypatch=None):
-        engine = SimEngine(backend="fast", jobs=1, cache_dir=root / "cache")
+        engine = SimEngine(backend="vector", jobs=1, cache_dir=root / "cache")
         disk_reads = Counter()
         if monkeypatch is not None:
             def counting(handle):
@@ -168,7 +168,7 @@ class TestResultMemo:
         assert sum(memo_reads.values()) < sum(plain_reads.values())
 
     def test_memo_dropped_when_run_all_raises(self, tmp_path, monkeypatch):
-        engine = SimEngine(backend="fast", jobs=1, cache_dir=tmp_path / "cache")
+        engine = SimEngine(backend="vector", jobs=1, cache_dir=tmp_path / "cache")
 
         def broken_render(result):
             assert engine.cache._memo  # open, and filled by the sweep

@@ -107,7 +107,7 @@ def server(tmp_path):
     """An in-thread daemon on a fresh socket with its own cache."""
     instance = EngineServer(
         str(tmp_path / "engine.sock"),
-        backend="fast",
+        backend="vector",
         jobs=1,
         cache_dir=tmp_path / "daemon-cache",
     )
@@ -130,7 +130,7 @@ def client(server):
 
 def solo_results(jobs):
     """In-process ground truth (cacheless, no daemon)."""
-    return SimEngine(backend="fast", use_cache=False, remote=False).run_many(jobs)
+    return SimEngine(backend="vector", use_cache=False, remote=False).run_many(jobs)
 
 
 def assert_reports_identical(a, b):
@@ -223,7 +223,7 @@ class TestEngineMetrics:
 class TestServerBasics:
     def test_ping_status_metrics(self, server, client):
         pong = client.ping()
-        assert pong["pid"] == os.getpid() and pong["backend"] == "fast"
+        assert pong["pid"] == os.getpid() and pong["backend"] == "vector"
         status = client.status()
         assert status["jobs"] == 1 and status["inflight"] == 0
         assert status["cache"]["entries"] == 0
@@ -296,7 +296,7 @@ class TestRouting:
         assert engine.stats.requests == 1
         assert engine.stats.misses == 4 and engine.stats.latency_seconds > 0
         # the daemon simulated on ITS backend; the summary reports it
-        assert engine.effective_backend() == "fast"
+        assert engine.effective_backend() == "vector"
         warm = SimEngine(backend="reference", use_cache=False)
         warm.run_many(jobs)
         assert warm.stats.hits == 4 and warm.stats.misses == 0
@@ -322,7 +322,7 @@ class TestRouting:
 
     def test_fallback_warns_once_and_runs_in_process(self, tmp_path, monkeypatch):
         monkeypatch.setenv(ENGINE_SOCKET_ENV, str(tmp_path / "nobody-home.sock"))
-        engine = SimEngine(backend="fast", use_cache=False)
+        engine = SimEngine(backend="vector", use_cache=False)
         jobs = [make_job(17)]
         with pytest.warns(RuntimeWarning, match="falling back to in-process"):
             results = engine.run_many(jobs)
@@ -340,7 +340,7 @@ class TestRouting:
         monkeypatch.setenv(ENGINE_SOCKET_ENV, str(socket_path))
         # zero-width window: every batch after the latch re-probes
         monkeypatch.setattr(scheduler, "REMOTE_REPROBE_SECONDS", 0.0)
-        engine = SimEngine(backend="fast", use_cache=False)
+        engine = SimEngine(backend="vector", use_cache=False)
         jobs = [make_job(23)]
         with pytest.warns(RuntimeWarning, match="falling back to in-process"):
             engine.run_many(jobs)
@@ -353,7 +353,7 @@ class TestRouting:
         # daemon comes up on the same socket: the next batch reattaches
         instance = EngineServer(
             str(socket_path),
-            backend="fast",
+            backend="vector",
             jobs=1,
             cache_dir=tmp_path / "daemon-cache",
         )
@@ -378,7 +378,7 @@ class TestRouting:
 
         monkeypatch.setenv(ENGINE_SOCKET_ENV, str(tmp_path / "nobody-home.sock"))
         monkeypatch.setattr(scheduler, "REMOTE_REPROBE_REQUESTS", 2)
-        engine = SimEngine(backend="fast", use_cache=False)
+        engine = SimEngine(backend="vector", use_cache=False)
         jobs = [make_job(27)]
         with pytest.warns(RuntimeWarning, match="falling back to in-process"):
             engine.run_many(jobs)
@@ -393,7 +393,7 @@ class TestRouting:
     def test_remote_false_pins_in_process(self, server, monkeypatch):
         monkeypatch.setenv(ENGINE_SOCKET_ENV, str(server.socket_path))
         assert server.engine.remote is False  # the daemon never self-routes
-        engine = SimEngine(backend="fast", use_cache=False, remote=False)
+        engine = SimEngine(backend="vector", use_cache=False, remote=False)
         engine.run_many([make_job(19)])
         assert engine.stats.requests == 0 and engine.stats.misses == 1
         assert server.metrics.requests == 0
@@ -486,7 +486,7 @@ class TestDaemonLifecycle:
                 "--socket",
                 str(socket_path),
                 "--backend",
-                "fast",
+                "vector",
                 "--jobs",
                 "1",
             ],
@@ -559,13 +559,13 @@ class TestRoutedSweep:
             scale=MICRO,
             artifacts_dir=tmp_path / "local",
             engine=SimEngine(
-                backend="fast", jobs=1, cache_dir=tmp_path / "local-cache", remote=False
+                backend="vector", jobs=1, cache_dir=tmp_path / "local-cache", remote=False
             ),
             names=["fig2"],
         )
         monkeypatch.setenv(ENGINE_SOCKET_ENV, str(server.socket_path))
         routed_engine = SimEngine(
-            backend="fast", jobs=1, cache_dir=tmp_path / "routed-cache"
+            backend="vector", jobs=1, cache_dir=tmp_path / "routed-cache"
         )
         routed = run_all(
             scale=MICRO,
@@ -584,7 +584,7 @@ class TestRoutedSweep:
 
         # warm daemon resubmit: a fresh client engine reports 0 simulated
         warm_engine = SimEngine(
-            backend="fast", jobs=1, cache_dir=tmp_path / "warm-cache"
+            backend="vector", jobs=1, cache_dir=tmp_path / "warm-cache"
         )
         run_all(
             scale=MICRO,
