@@ -22,13 +22,12 @@ The asserted bounds are CPU-count independent (single-process wall-clock
 ratios, interleaved best-of-N to damp shared-runner noise).
 """
 
-import threading
 from pathlib import Path
 
 import numpy as np
 
 from repro.core import MappingStrategy
-from repro.engine import EngineClient, EngineServer, NetworkJob, SimEngine, SimJob
+from repro.engine import NetworkJob, SimEngine, SimJob
 from repro.hw.variations import PAPER_CORNERS
 
 from bench_util import BenchRecorder, env_float, run_once, timed, timed_interleaved
@@ -47,13 +46,6 @@ MIN_VECTOR_SPEEDUP = env_float("REPRO_BENCH_MIN_SPEEDUP", 12.0)
 #: ``small``-scale network shape, vector backend.  Measured ~0.25s on
 #: the 1-core reference host; the ceiling leaves 4x for host noise.
 MAX_NETWORK_TER_SECONDS = env_float("REPRO_BENCH_MAX_NETWORK_TER_SECONDS", 1.0)
-
-#: Ceiling (seconds) on one *warm* daemon round trip of the canonical
-#: micro-scale batch — connect, submit, six cache-hit blobs back.
-#: Measured ~0.05-0.15s on the 1-core reference host; the ceiling leaves
-#: ample room for host noise while still catching a serve-path
-#: regression (an accidental re-simulation lands at multiple seconds).
-MAX_SERVE_WARM_SECONDS = env_float("REPRO_BENCH_MAX_SERVE_WARM_SECONDS", 1.0)
 
 #: Floor on how much cheaper a cache hit is than a cold ``vector`` run
 #: of the canonical batch.  On the 2-core reference host this measured
@@ -286,60 +278,6 @@ def test_bench_engine_cache_hits(benchmark, tmp_path):
     assert t_warm * MIN_CACHE_HIT_SPEEDUP < t_cold, (
         f"cache hits regressed: {t_cold / t_warm:.1f}x < "
         f"{MIN_CACHE_HIT_SPEEDUP}x cheaper than a cold vector run"
-    )
-
-
-def test_bench_engine_serve_warm_latency(benchmark, tmp_path):
-    """Warm request latency through a resident ``read-repro serve`` daemon.
-
-    The serve-mode pitch is that a warm daemon answers a whole sweep
-    batch at cache-deserialization speed plus one socket round trip; this
-    pins that round trip.  Cold time (the daemon simulating) is recorded
-    for context but not asserted — it is the backend bench's job.
-    """
-    jobs = micro_stream_jobs()
-    server = EngineServer(
-        str(tmp_path / "bench.sock"),
-        backend="vector",
-        jobs=1,
-        cache_dir=tmp_path / "cache",
-    )
-    ready = threading.Event()
-    thread = threading.Thread(
-        target=server.serve_forever, kwargs={"ready": ready}, daemon=True
-    )
-    thread.start()
-    assert ready.wait(10)
-    try:
-        client = EngineClient(str(server.socket_path))
-        t_cold = timed(lambda: client.submit(jobs), repeats=1)
-        t_warm = timed(lambda: client.submit(jobs), repeats=5)
-        _, delta = client.submit(jobs)
-        assert delta["hits"] == len(jobs) and delta["misses"] == 0
-        run_once(benchmark, client.submit, jobs)
-        daemon_latency = server.metrics.latency_seconds / server.metrics.requests
-    finally:
-        server.shutdown()
-        thread.join(10)
-    record_bench(
-        "serve",
-        {
-            "batch": f"{len(jobs)} jobs x {len(PAPER_CORNERS)} corners, "
-            "canonical micro-scale batch via the engine daemon",
-            "cold_request_s": round(t_cold, 4),
-            "warm_request_s": round(t_warm, 4),
-            "daemon_mean_request_s": round(daemon_latency, 4),
-            "asserted_max_warm_seconds": MAX_SERVE_WARM_SECONDS,
-        },
-    )
-    print()
-    print(
-        f"serve: cold {t_cold:.3f}s  warm {t_warm:.4f}s  "
-        f"daemon mean {daemon_latency:.4f}s/request"
-    )
-    assert t_warm <= MAX_SERVE_WARM_SECONDS, (
-        f"warm daemon round trip regressed: {t_warm:.3f}s > "
-        f"{MAX_SERVE_WARM_SECONDS}s ceiling (see BENCH_engine.json)"
     )
 
 

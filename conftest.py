@@ -17,9 +17,8 @@ collected):
     numbers.
 
 It also registers the ``concurrency`` marker: cross-process cache
-contention, crash-safety and engine-daemon lifecycle tests (fork, SIGKILL
-and socket heavy — CI runs them as their own job via
-``-m concurrency``).  They are part of the default collection; the
+contention and crash-safety tests (fork and SIGKILL heavy; select them
+with ``-m concurrency``).  They are part of the default collection; the
 marker exists to select them, not to skip them.
 """
 
@@ -27,8 +26,7 @@ marker exists to select them, not to skip them.
 def pytest_configure(config):
     config.addinivalue_line(
         "markers",
-        "concurrency: cross-process cache contention, crash-safety and "
-        "engine-daemon lifecycle tests",
+        "concurrency: cross-process cache contention and crash-safety tests",
     )
 
 

@@ -217,50 +217,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="write minimized repro commands for failures to PATH (CI artifact)",
     )
 
-    serve_parser = subparsers.add_parser(
-        "serve",
-        help="run the resident engine daemon (warm pool, coalescing, shared cache)",
-        description=(
-            "Start a long-lived engine daemon on a Unix socket.  Clients "
-            "with $REPRO_ENGINE_SOCKET pointing at it route every "
-            "run_many/run_stream batch through one warm engine: the process "
-            "pool and per-worker memos stay hot across requests, and "
-            "identical jobs submitted by concurrent clients coalesce into a "
-            "single simulation.  Stop with SIGTERM/SIGINT or the shutdown "
-            "verb (see docs/engine.md)."
-        ),
-        epilog="example: read-repro serve --socket /tmp/repro.sock --jobs 4",
-    )
-    serve_parser.add_argument(
-        "--socket",
-        default=None,
-        metavar="PATH",
-        help="Unix socket path (default: $REPRO_ENGINE_SOCKET or <cache>/engine.sock)",
-    )
-    _engine_flags(serve_parser)
-
-    ping_parser = subparsers.add_parser(
-        "ping",
-        help="probe a running engine daemon",
-        description=(
-            "Connect to the engine daemon, verify the protocol handshake, "
-            "and print its pid/backend.  Exit status 1 when nothing answers."
-        ),
-        epilog="example: read-repro ping --socket /tmp/repro.sock",
-    )
-    ping_parser.add_argument(
-        "--socket",
-        default=None,
-        metavar="PATH",
-        help="Unix socket path (default: $REPRO_ENGINE_SOCKET)",
-    )
-
     cache_parser = subparsers.add_parser(
         "cache",
         help="inspect or garbage-collect the on-disk result cache",
         description=(
             "Operate directly on the shared result store ($REPRO_CACHE or "
-            "the repo .cache/).  Safe while a daemon or campaign is live: "
+            "the repo .cache/).  Safe while a campaign or sweep is live: "
             "every mutation takes the same per-shard advisory locks the "
             "engine's writers hold."
         ),
@@ -453,71 +415,6 @@ def _run_fuzz(args) -> int:
     return 1
 
 
-def _run_serve(args) -> int:
-    """``read-repro serve``: block in the daemon's accept loop."""
-    import os
-    import signal
-
-    from .engine import ENGINE_SOCKET_ENV, cache_root
-    from .engine.server import EngineServer
-
-    socket_path = (
-        args.socket
-        or os.environ.get(ENGINE_SOCKET_ENV)
-        or str(cache_root() / "engine.sock")
-    )
-    # Exported via the environment so the daemon's pool workers inherit it.
-    configure_injection_runtime(args.injection_runtime)
-    server = EngineServer(
-        socket_path,
-        backend=args.backend,
-        jobs=args.jobs,
-        use_cache=not args.no_cache,
-    )
-
-    def _stop(signum, frame):  # graceful: finish in-flight replies
-        server.shutdown()
-
-    signal.signal(signal.SIGTERM, _stop)
-    signal.signal(signal.SIGINT, _stop)
-    engine = server.engine
-    print(
-        f"engine daemon on {socket_path} "
-        f"(pid={os.getpid()}, backend={engine.backend_name}, jobs={engine.jobs}, "
-        f"cache={'on' if engine.cache is not None else 'off'})",
-        flush=True,
-    )
-    server.serve_forever()
-    print(f"engine daemon stopped: {server.metrics.describe()}")
-    return 0
-
-
-def _run_ping(args) -> int:
-    """``read-repro ping``: one handshake round trip."""
-    import os
-
-    from .engine import ENGINE_SOCKET_ENV
-    from .engine.client import EngineClient, EngineClientError
-
-    socket_path = args.socket or os.environ.get(ENGINE_SOCKET_ENV)
-    if not socket_path:
-        print(
-            f"error: no socket given (--socket or ${ENGINE_SOCKET_ENV})",
-            file=sys.stderr,
-        )
-        return 2
-    try:
-        reply = EngineClient(socket_path).ping()
-    except EngineClientError as exc:
-        print(f"no engine daemon at {socket_path}: {exc}", file=sys.stderr)
-        return 1
-    print(
-        f"pong from {socket_path}: pid {reply['pid']}, "
-        f"backend {reply['backend']}, protocol {reply['protocol']}"
-    )
-    return 0
-
-
 def _run_cache(args) -> int:
     """``read-repro cache stats|gc``: direct, lock-safe store maintenance."""
     from .engine import ResultCache
@@ -548,10 +445,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
     if args.experiment == "fuzz":
         return _run_fuzz(args)
-    if args.experiment == "serve":
-        return _run_serve(args)
-    if args.experiment == "ping":
-        return _run_ping(args)
     if args.experiment == "cache":
         return _run_cache(args)
     engine = configure_default_engine(

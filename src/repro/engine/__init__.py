@@ -8,11 +8,8 @@ conformance-tested bit-compatible, with ``vector`` ≥12x over the
 reference), stacks whole networks of layer jobs into single
 :class:`NetworkJob` folds, fans cache-missing jobs out over worker
 processes, and memoizes every result on disk keyed by a content hash of
-the job spec.  A resident daemon (``read-repro serve`` /
-:class:`EngineServer`) keeps one warm engine behind a Unix socket and
-coalesces identical submissions across clients; setting
-``$REPRO_ENGINE_SOCKET`` routes any engine's batches through it.
-See ``docs/engine.md`` for the full tour.
+the job spec.  Every batch runs in the submitting process, inline or on
+a per-call worker pool.  See ``docs/engine.md`` for the full tour.
 
 Quickstart::
 
@@ -37,7 +34,6 @@ from .arena import (
     arena_root,
     default_arena,
     reset_default_arena,
-    shutdown_arena,
 )
 from .backends import (
     ReferenceBackend,
@@ -56,11 +52,8 @@ from .cache import (
     ResultCache,
     cache_root,
 )
-from .client import EngineClient, EngineClientError
 from .job import CACHE_SCHEMA_VERSION, EngineJob, NetworkJob, SimJob, feed_hash, job_key
-from .protocol import ENGINE_SOCKET_ENV, PROTOCOL_VERSION, ProtocolError
 from .scheduler import (
-    EngineMetrics,
     EngineStats,
     SimEngine,
     configure_default_engine,
@@ -68,7 +61,6 @@ from .scheduler import (
     engine_context,
     reset_default_engine,
 )
-from .server import EngineServer, serve
 
 __all__ = [
     "ARENA_DIR_ENV",
@@ -81,21 +73,13 @@ __all__ = [
     "arena_root",
     "default_arena",
     "reset_default_arena",
-    "shutdown_arena",
     "CACHE_ENV_VAR",
     "CACHE_MAX_BYTES_ENV_VAR",
     "CACHE_SCHEMA_VERSION",
     "CacheGcReport",
     "CacheStats",
-    "ENGINE_SOCKET_ENV",
-    "EngineClient",
-    "EngineClientError",
     "EngineJob",
-    "EngineMetrics",
-    "EngineServer",
     "EngineStats",
-    "PROTOCOL_VERSION",
-    "ProtocolError",
     "NetworkJob",
     "ReferenceBackend",
     "ResultCache",
@@ -114,5 +98,4 @@ __all__ = [
     "job_key",
     "register_backend",
     "reset_default_engine",
-    "serve",
 ]

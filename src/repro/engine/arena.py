@@ -1,6 +1,6 @@
 """Shared-memory operand arena: one copy of big operands per host.
 
-Campaign shards fan out over pool workers and daemon requests, and every
+Campaign shards fan out over pool workers and CLI processes, and every
 process used to rebuild the same large read-only operands — the
 fault-free prefix activations and the lowered BLAS weight matrices — in
 its own address space.  The arena stores each such operand bundle once,
@@ -16,16 +16,16 @@ Lifecycle is lease-based and SIGKILL-safe:
 * a sidecar *registry* directory (``$REPRO_ARENA_DIR`` or a per-user
   tempdir) holds one JSON descriptor per segment plus one empty
   ``<digest>.<pid>.lease`` file per attached process;
-* :meth:`OperandArena.release_all` (wired to engine/daemon shutdown and
-  ``atexit``) drops this process's leases; the mappings themselves are
-  kept until process exit, because consumers (the memoized fault-free
-  pass, adopted lowered weights) hold numpy views into them and
-  unmapping under a live view is a segfault (see :class:`ArenaEntry`);
-* :meth:`OperandArena.sweep` — run on shutdown and by ``read-repro
-  cache gc`` — removes leases whose pid is dead (a SIGKILLed worker
-  cannot clean up, but its pid stops existing) and unlinks any segment
-  with no live leases left.  ``flock`` on the registry serializes
-  publishers and sweepers, and dies with its holder.
+* :meth:`OperandArena.release_all` (wired to ``atexit``) drops this
+  process's leases; the mappings themselves are kept until process
+  exit, because consumers (the memoized fault-free pass, adopted
+  lowered weights) hold numpy views into them and unmapping under a
+  live view is a segfault (see :class:`ArenaEntry`);
+* :meth:`OperandArena.sweep` — run by ``read-repro cache gc`` —
+  removes leases whose pid is dead (a SIGKILLed worker cannot clean
+  up, but its pid stops existing) and unlinks any segment with no live
+  leases left.  ``flock`` on the registry serializes publishers and
+  sweepers, and dies with its holder.
 
 Segments are deliberately *not* left to the interpreter's
 ``resource_tracker``: its exit-time unlink would destroy a segment the
@@ -82,8 +82,16 @@ def _digest(key: str) -> str:
     return hashlib.sha256(key.encode("utf-8")).hexdigest()[:32]
 
 
-def _segment_name(key: str) -> str:
-    return f"repro-arena-{_digest(key)}"
+def _segment_name(root: Path, key: str) -> str:
+    """The ``/dev/shm`` name of ``key``'s segment in registry ``root``.
+
+    Segment names are host-global while registries are not, so the
+    registry's real path is part of the hash: two registries publishing
+    one key get two segments, and neither's sweep can unlink the
+    other's.
+    """
+    scoped = f"{os.path.realpath(root)}\0{key}"
+    return f"repro-arena-{_digest(scoped)}"
 
 
 #: Degraded arena operations in this process (publish/attach/sweep/init
@@ -189,7 +197,7 @@ class ArenaEntry:
 
 @dataclass(frozen=True)
 class ArenaStats:
-    """One snapshot of the registry (``cache stats`` / daemon status).
+    """One snapshot of the registry (``read-repro cache stats``).
 
     ``errors`` is process-local (degraded operations recorded by this
     process — see :func:`arena_error_count`), the other fields reflect
@@ -323,7 +331,7 @@ class OperandArena:
             ).encode("utf-8")
             base = _align(8 + len(header))
             total = max(base + offset, 1)
-            segment = _segment_name(key)
+            segment = _segment_name(self.root, key)
             with self._registry_lock():
                 descriptor = self._descriptor(key)
                 if descriptor.exists():
@@ -465,9 +473,8 @@ class OperandArena:
 
         SIGKILL-safety rests on leases being *pid-named files*: a killed
         worker cannot release, but its pid stops existing, so the next
-        sweep — engine shutdown, daemon shutdown, ``cache gc`` — removes
-        its leases and, when a segment's last lease is gone, the segment
-        itself.
+        sweep (``read-repro cache gc``) removes its leases and, when a
+        segment's last lease is gone, the segment itself.
         """
         leases_removed = segments_removed = 0
         segments = total = 0
@@ -550,15 +557,3 @@ def reset_default_arena() -> None:
         _default.release_all()
     _default = None
 
-
-def shutdown_arena() -> Optional[ArenaSweepReport]:
-    """Release this process's leases and reclaim unreferenced segments.
-
-    The engine/daemon shutdown hook: safe to call when the arena was
-    never used (returns None).
-    """
-    global _default
-    if _default is None:
-        return None
-    _default.release_all()
-    return _default.sweep()

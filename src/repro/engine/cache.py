@@ -27,9 +27,9 @@ Properties the test suite relies on:
   and unreadable entries are treated as misses (and removed), so stale
   or corrupt files can only cost a re-simulation, never wrong results.
 
-Since the serve-mode daemon made the store a genuinely *shared* resource
-(many client processes and one resident server over a single directory),
-the cache is additionally concurrency-safe:
+The store is a *shared* resource — pool workers, concurrent CLI
+processes and ``read-repro cache gc`` all open one directory — so the
+cache is additionally concurrency-safe:
 
 * **per-shard advisory locks** — every mutation (``store``, ``clear``,
   ``gc``, corrupt-entry deletion) holds an ``fcntl`` lock on the
@@ -116,7 +116,7 @@ class CacheStats:
 
 @dataclass(frozen=True)
 class CacheGcReport:
-    """What one ``gc()`` pass did (also the ``cache gc`` CLI / daemon verb)."""
+    """What one ``gc()`` pass did (also the ``cache gc`` CLI)."""
 
     tmp_removed: int
     evicted: int
@@ -153,7 +153,7 @@ class ResultCache:
         its own: without the memo those are disk reads of entries this
         process has just loaded or written.  The memo lives only for the
         block and is dropped on exit, exceptions included, so a
-        long-lived process — the daemon, a campaign — never accumulates
+        long-lived process — a campaign, a library caller — never accumulates
         results.
         """
         self._memo = {}

@@ -19,20 +19,14 @@ A process-wide *default engine* carries the CLI's ``--backend`` /
 ``REPRO_JOBS`` / ``REPRO_NO_CACHE`` environment equivalents) to every
 runner without threading an argument through each ``run()`` signature.
 
-When ``$REPRO_ENGINE_SOCKET`` names a running ``read-repro serve``
-daemon, :meth:`SimEngine.run_many` and :meth:`SimEngine.run_stream`
-transparently route their batches through it (warm memos, hot process
-pool, cross-client coalescing) and fall back to in-process execution —
-with a :class:`RuntimeWarning` — when nothing answers.  Results are
-byte-identical either way: the daemon executes the very same jobs
-through the very same cache serializers.
+Every batch executes in the submitting process: inline, or on a worker
+pool built for that one call and torn down when it returns.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from contextlib import contextmanager
@@ -53,20 +47,7 @@ from typing import (
 from ..errors import ConfigurationError, MappingFallbackWarning
 from .backends import SimulationBackend, backend_factory, get_backend
 from .cache import ResultCache
-from .client import EngineClient, EngineClientError
 from .job import EngineJob, NetworkJob, SimJob
-from .protocol import ENGINE_SOCKET_ENV
-
-#: How long a failed daemon probe suppresses further probes.  After this
-#: many seconds (or :data:`REMOTE_REPROBE_REQUESTS` skipped probes,
-#: whichever comes first) the engine pings the socket again, so a client
-#: that outlives a daemon restart reattaches instead of staying
-#: in-process forever.  Module-level so tests can shrink the thresholds.
-REMOTE_REPROBE_SECONDS = 30.0
-
-#: Request-count arm of the re-probe: a client hammering out batches
-#: re-probes after this many skipped probes even inside the time window.
-REMOTE_REPROBE_REQUESTS = 50
 
 
 def _execute_job(factory: Callable[[], SimulationBackend], job: EngineJob):
@@ -89,7 +70,7 @@ def _execute_job(factory: Callable[[], SimulationBackend], job: EngineJob):
     Returns ``(result, counters)``: the runtime work-avoidance counters
     (deduped trials, arena traffic) accumulated in this worker
     while the job ran travel home with the result and fold into the
-    submitting engine's :class:`EngineMetrics`.
+    submitting engine's :class:`EngineStats`.
     """
     _drained_counters()  # stray counters from before this job are not ours
     result = job.execute(factory)
@@ -143,18 +124,12 @@ def _fused_units(
 
 
 @dataclass
-class EngineMetrics:
-    """The engine's counter struct, shared by local stats and the daemon.
+class EngineStats:
+    """Counters accumulated over an engine's lifetime.
 
-    One flat record of everything the engine counts: per-job outcomes
-    (``hits`` / ``misses`` / ``deduped`` / ``cancelled`` — the original
-    :class:`EngineStats` quartet), cross-client ``coalesced`` jobs (a
-    submission that attached to another client's identical in-flight
-    computation instead of simulating), and request-level accounting
-    (``requests`` round trips, cumulative ``latency_seconds``).  The
-    serve-mode daemon reports one of these from its ``metrics`` verb;
-    :class:`EngineStats` subclasses it so a client engine folds daemon
-    deltas straight into its lifetime counters.
+    Per-job outcomes (``hits`` / ``misses`` / ``deduped`` /
+    ``cancelled``) plus the work-avoidance counters that worker
+    processes drain back with their results.
     """
 
     hits: int = 0
@@ -163,13 +138,10 @@ class EngineMetrics:
     #: Jobs cancelled before they ever executed (:meth:`SimEngine.run_stream`
     #: early stopping); they are not hits, misses or dedups.
     cancelled: int = 0
-    #: Jobs that rode another client's identical in-flight computation
-    #: (serve mode only; always 0 for a purely in-process engine).
+    #: Always 0 (no engine shares work with another process's engine).
+    #: The field exists only because ``perfbench/run.py`` sums it; drop
+    #: it with ``trials_pruned`` in the next change to the benchmark.
     coalesced: int = 0
-    #: Daemon round trips (client side) / requests served (daemon side).
-    requests: int = 0
-    #: Wall-clock seconds spent in those requests, cumulatively.
-    latency_seconds: float = 0.0
     #: Always 0 (the injection runtime does not prune trials).  The
     #: field exists only because ``perfbench/traced.py`` reads it.
     trials_pruned: int = 0
@@ -188,15 +160,13 @@ class EngineMetrics:
 
     @property
     def total(self) -> int:
-        return self.hits + self.misses + self.deduped + self.cancelled + self.coalesced
+        return self.hits + self.misses + self.deduped + self.cancelled
 
     def describe(self) -> str:
         text = (
             f"{self.total} job(s): {self.hits} cache hit(s), "
             f"{self.deduped} deduplicated, {self.misses} simulated"
         )
-        if self.coalesced:
-            text += f", {self.coalesced} coalesced"
         if self.cancelled:
             text += f", {self.cancelled} cancelled"
         if self.trials_deduped:
@@ -216,10 +186,10 @@ class EngineMetrics:
             if f.name in delta:
                 setattr(self, f.name, getattr(self, f.name) + delta[f.name])
 
-    def snapshot(self) -> "EngineMetrics":
+    def snapshot(self) -> "EngineStats":
         return type(self)(**self.as_dict())
 
-    def since(self, earlier: "EngineMetrics") -> "EngineMetrics":
+    def since(self, earlier: "EngineStats") -> "EngineStats":
         """Counter deltas accumulated after ``earlier`` was snapshotted."""
         return type(self)(
             **{
@@ -227,16 +197,6 @@ class EngineMetrics:
                 for f in fields(self)
             }
         )
-
-
-@dataclass
-class EngineStats(EngineMetrics):
-    """Counters accumulated over an engine's lifetime.
-
-    Exactly an :class:`EngineMetrics` — the subclass exists so engine
-    call sites keep their established name while the daemon, the
-    ``metrics`` verb and the benchmarks share the struct definition.
-    """
 
 
 class SimEngine:
@@ -257,14 +217,6 @@ class SimEngine:
         Override the cache root (defaults to the repo ``.cache/`` or
         ``$REPRO_CACHE``); accepts a path or a prebuilt
         :class:`ResultCache`.
-    keep_pool:
-        Keep one :class:`ProcessPoolExecutor` alive across batches
-        instead of building/tearing one down per call — the serve-mode
-        daemon's "hot pool".  Call :meth:`close` to release it.
-    remote:
-        Permit routing through a ``$REPRO_ENGINE_SOCKET`` daemon.  The
-        daemon's own engine sets this False (it must never route to
-        itself), as do tests pinning in-process execution.
     """
 
     def __init__(
@@ -274,29 +226,12 @@ class SimEngine:
         use_cache: bool = True,
         cache_dir: Union[None, str, Path, ResultCache] = None,
         backend_explicit: bool = True,
-        keep_pool: bool = False,
-        remote: bool = True,
     ):
         get_backend(backend)  # validate the name eagerly
         if jobs < 1:
             raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
         self.backend_name = backend
         self.jobs = jobs
-        self.keep_pool = keep_pool
-        self.remote = remote
-        self._persistent_pool: Optional[ProcessPoolExecutor] = None
-        #: Latched (with a monotonic timestamp) after a failed daemon
-        #: probe so a long sweep stays in-process rather than re-probing
-        #: per batch.  The latch *expires* — after
-        #: :data:`REMOTE_REPROBE_SECONDS` or
-        #: :data:`REMOTE_REPROBE_REQUESTS` skipped probes the daemon is
-        #: pinged again — so a long-lived client reattaches to a
-        #: restarted daemon instead of degrading in-process forever.
-        self._remote_down_since: Optional[float] = None
-        #: Probes skipped while latched (the request-count re-probe arm).
-        self._remote_skipped = 0
-        #: The unreachable warning fires once per engine, not per probe.
-        self._remote_warned = False
         #: Whether ``backend`` was an explicit choice (constructor call,
         #: CLI flag, environment) or just the built-in fallback.
         #: :meth:`preferring` only overrides the fallback.
@@ -331,8 +266,6 @@ class SimEngine:
             jobs=self.jobs,
             use_cache=self.cache is not None,
             cache_dir=self.cache,
-            keep_pool=self.keep_pool,
-            remote=self.remote,
         )
         twin.stats = self.stats
         twin.used_backends = self.used_backends
@@ -345,123 +278,10 @@ class SimEngine:
         return "+".join(sorted(self.used_backends)) or self.backend_name
 
     # ------------------------------------------------------------------ #
-    @contextmanager
-    def _acquire_pool(self, workers: int):
-        """A worker pool for one batch: per-call, or the persistent one.
-
-        With ``keep_pool`` the pool is sized ``self.jobs`` once and
-        survives across batches (the daemon's warm workers — their
-        per-process bundle/plan/pass memos are the whole point); without
-        it the historical build-use-teardown per batch is preserved.
-        """
-        if self.keep_pool:
-            if self._persistent_pool is None:
-                self._persistent_pool = ProcessPoolExecutor(max_workers=self.jobs)
-            yield self._persistent_pool
-        else:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                yield pool
-
-    def close(self) -> None:
-        """Release the persistent pool (no-op without ``keep_pool``) and
-        this process's operand-arena leases.
-
-        Pool workers drop their own leases at exit (the arena's
-        ``atexit`` hook), so after the pool shutdown the follow-up sweep
-        reclaims every segment the engine's fan-out was keeping alive —
-        including segments leased by workers that died without running
-        ``atexit`` (SIGKILL), whose pid-named leases the sweep detects
-        as dead.
-        """
-        if self._persistent_pool is not None:
-            self._persistent_pool.shutdown()
-            self._persistent_pool = None
-        from .arena import shutdown_arena
-
-        shutdown_arena()
-
-    # ------------------------------------------------------------------ #
-    def _remote_client(self) -> Optional[EngineClient]:
-        """A pinged client for the ``$REPRO_ENGINE_SOCKET`` daemon, or None.
-
-        None when routing is disabled, no socket is configured, the probe
-        failed (which warns once and latches the fallback), or the latch
-        is still fresh.  A stale latch — older than
-        :data:`REMOTE_REPROBE_SECONDS`, or with
-        :data:`REMOTE_REPROBE_REQUESTS` probes skipped — triggers one
-        re-probe, so the engine reattaches to a restarted daemon.
-        """
-        if not self.remote:
-            return None
-        socket_path = os.environ.get(ENGINE_SOCKET_ENV)
-        if not socket_path:
-            return None
-        if self._remote_down_since is not None:
-            self._remote_skipped += 1
-            fresh = (
-                time.monotonic() - self._remote_down_since < REMOTE_REPROBE_SECONDS
-                and self._remote_skipped < REMOTE_REPROBE_REQUESTS
-            )
-            if fresh:
-                return None
-        client = EngineClient(socket_path)
-        try:
-            client.ping()
-        except EngineClientError as exc:
-            self._remote_fallback(exc)
-            return None
-        self._remote_down_since = None
-        self._remote_skipped = 0
-        return client
-
-    def _remote_fallback(self, exc: Exception) -> None:
-        self._remote_down_since = time.monotonic()
-        self._remote_skipped = 0
-        if not self._remote_warned:
-            self._remote_warned = True
-            warnings.warn(
-                f"{ENGINE_SOCKET_ENV} is set but the engine daemon did not answer "
-                f"({exc}); falling back to in-process execution",
-                RuntimeWarning,
-                stacklevel=4,
-            )
-
     def _merge_counters(self, delta: Mapping[str, int]) -> None:
         """Fold drained runtime counters (worker or inline) into stats."""
         if delta:
             self.stats.merge(delta)
-
-    def _merge_remote(self, delta: Mapping[str, object], elapsed: float) -> None:
-        """Fold one daemon response's counter delta into lifetime stats."""
-        self.stats.merge(delta)
-        self.stats.requests += 1
-        self.stats.latency_seconds += elapsed
-        backend = delta.get("backend")
-        if backend and delta.get("misses"):
-            self.used_backends.add(str(backend))
-
-    def _run_many_remote(
-        self, client: EngineClient, submitted: List[EngineJob]
-    ) -> List[object]:
-        for job in submitted:
-            job.check()  # submit-time diagnostics stay in this process
-        start = time.perf_counter()
-        results, delta = client.submit(submitted)
-        self._merge_remote(delta, time.perf_counter() - start)
-        return results
-
-    def _run_stream_remote(
-        self,
-        client: EngineClient,
-        jobs: List[EngineJob],
-        on_result: Optional[Callable[[int, object], Optional[Iterable[int]]]],
-    ) -> List[Optional[object]]:
-        for job in jobs:
-            job.check()
-        start = time.perf_counter()
-        results, delta = client.submit_stream(jobs, on_result)
-        self._merge_remote(delta, time.perf_counter() - start)
-        return results
 
     # ------------------------------------------------------------------ #
     def run(self, job: EngineJob):
@@ -491,22 +311,10 @@ class SimEngine:
         calls when the configured backend overrides it (one unit per
         worker on the pool, one inline), so whole-network batching does
         not depend on how the caller grouped its submissions.
-
-        With ``$REPRO_ENGINE_SOCKET`` set (and a daemon answering), the
-        whole batch is executed by the daemon instead — same jobs, same
-        serializers, bit-identical results — and the response's
-        hit/miss/coalesce counters fold into this engine's stats.
         """
-        submitted = list(jobs)
-        client = self._remote_client()
-        if client is not None:
-            try:
-                return self._run_many_remote(client, submitted)
-            except EngineClientError as exc:
-                self._remote_fallback(exc)
         spans: List[Tuple[int, int, bool]] = []  # (start, count, stacked?)
         flat: List[EngineJob] = []
-        for job in submitted:
+        for job in jobs:
             if isinstance(job, NetworkJob):
                 spans.append((len(flat), len(job.jobs), True))
                 flat.extend(job.jobs)
@@ -557,7 +365,7 @@ class SimEngine:
         if len(pending) > 1 and self.jobs > 1:
             workers = min(self.jobs, len(pending))
             units = _fused_units(jobs, pending, workers, factory)
-            with self._acquire_pool(workers) as pool:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 futures = {
                     pool.submit(_execute_job, factory, unit): idxs
                     for idxs, unit in units
@@ -631,24 +439,8 @@ class SimEngine:
         Pool completion order is nondeterministic; callers needing a
         deterministic outcome must derive it from result *content* (see
         the campaign runner's contiguous-prefix rule), not arrival order.
-
-        Like :meth:`run_many`, a configured ``$REPRO_ENGINE_SOCKET``
-        daemon takes the stream: results arrive frame-by-frame over the
-        socket, ``on_result`` fires per frame, and cancellation requests
-        travel back mid-flight.  A connection error *before* any result
-        was delivered falls back to in-process execution; once delivery
-        has started the error propagates (a silent rerun would replay
-        ``on_result`` callbacks the caller already consumed).
         """
         jobs = list(jobs)
-        client = self._remote_client()
-        if client is not None:
-            try:
-                return self._run_stream_remote(client, jobs, on_result)
-            except EngineClientError as exc:
-                if exc.partial:
-                    raise
-                self._remote_fallback(exc)
         results: List[Optional[object]] = [None] * len(jobs)
         done = [False] * len(jobs)
         cancel_requested: set = set()
@@ -691,7 +483,7 @@ class SimEngine:
 
         if len(pending) > 1 and self.jobs > 1:
             workers = min(self.jobs, len(pending))
-            with self._acquire_pool(workers) as pool:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 futures = {}
                 for i in pending:
                     if i in cancel_requested:  # cancelled by a hit delivery

@@ -31,7 +31,8 @@ from ..core import MappingStrategy
 from ..core.pipeline import plan_layer
 from ..core.signflip import paper_sign
 from ..engine import NetworkJob, SimEngine, SimJob, cache_root, default_engine
-from ..errors import ConfigurationError
+from ..engine.job import read_npz
+from ..errors import ConfigurationError, TrainingError
 from ..hw.variations import PvtaCondition
 from ..nn.datasets import load_dataset
 from ..nn.layers import BatchNorm2d
@@ -155,6 +156,11 @@ def _state_arrays(model: ClassifierNetwork) -> Dict[str, np.ndarray]:
     return state
 
 
+def _non_finite(state: Dict[str, np.ndarray]) -> List[str]:
+    """Keys of ``state`` whose array holds a NaN or an infinity."""
+    return [name for name, arr in state.items() if not np.isfinite(arr).all()]
+
+
 def save_model_state(model: ClassifierNetwork, path: Path) -> None:
     """Persist a trained model's parameters to ``path`` (npz).
 
@@ -171,16 +177,27 @@ def save_model_state(model: ClassifierNetwork, path: Path) -> None:
 
 
 def load_model_state(model: ClassifierNetwork, path: Path) -> None:
-    """Restore parameters saved by :func:`save_model_state` in place."""
-    with np.load(path) as data:
-        for i, p in enumerate(model.parameters()):
-            p.data[...] = data[f"p{i}"]
-        bn_idx = 0
-        for module in model.modules():
-            if isinstance(module, BatchNorm2d):
-                module.running_mean[...] = data[f"rm{bn_idx}"]
-                module.running_var[...] = data[f"rv{bn_idx}"]
-                bn_idx += 1
+    """Restore parameters saved by :func:`save_model_state` in place.
+
+    Raises :class:`TrainingError` for a snapshot holding non-finite
+    values: a diverged model would otherwise surface later as a
+    calibration failure with no pointer to the file at fault.
+    """
+    state = read_npz(path)
+    diverged = _non_finite(state)
+    if diverged:
+        raise TrainingError(
+            f"model snapshot {path} holds non-finite values in "
+            f"{', '.join(diverged)}; delete it to retrain"
+        )
+    for i, p in enumerate(model.parameters()):
+        p.data[...] = state[f"p{i}"]
+    bn_idx = 0
+    for module in model.modules():
+        if isinstance(module, BatchNorm2d):
+            module.running_mean[...] = state[f"rm{bn_idx}"]
+            module.running_var[...] = state[f"rv{bn_idx}"]
+            bn_idx += 1
 
 
 def get_bundle(
@@ -223,6 +240,12 @@ def get_bundle(
     else:
         trainer = Trainer(model, lr=0.03, batch_size=32, seed=seed)
         trainer.fit(x_train, y_train, epochs=scale.epochs, x_test=x_test, y_test=y_test)
+        diverged = _non_finite(_state_arrays(model))
+        if diverged:
+            raise TrainingError(
+                f"training {recipe!r} at scale {scale.name!r} diverged: non-finite "
+                f"values in {', '.join(diverged)}; no snapshot written"
+            )
         save_model_state(model, state_path)
     # The bundle's float model only ever runs inference (batch norm on
     # its running statistics), whichever branch produced it.

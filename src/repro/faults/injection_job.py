@@ -193,7 +193,7 @@ def _pass_cache_get(key: Tuple, build) -> "FaultFreePass":
 # ---------------------------------------------------------------------- #
 # Shared-memory operand arena bridge
 #
-# Campaign fan-out (pool workers, daemon requests, sharded CLI runs)
+# Campaign fan-out (pool workers, sharded CLI runs)
 # rebuilds identical big operands per process.  The bridge stores two
 # bundle-keyed operand sets in the host-wide arena
 # (:mod:`repro.engine.arena`) so every process after the first attaches

@@ -168,7 +168,7 @@ class TestLifecycle:
         assert (stats.segments, stats.bytes, stats.leases) == (0, 0, 0)
 
     def test_released_views_stay_valid_for_process_life(self, arena):
-        # The engine shutdown hook (release_all + sweep) runs while the
+        # A release_all (reset_default_arena) plus a sweep can run while the
         # memoized fault-free pass still holds views into attached
         # segments.  Releasing must drop the *lease* only: numpy views
         # over the shared buffer do not pin the mapping (no BufferError
@@ -197,12 +197,33 @@ class TestLifecycle:
         # rather than fail on FileExistsError.
         from repro.engine.arena import _open_shm, _segment_name
 
-        shm = _open_shm(_segment_name("k"), create=True, size=64)
+        shm = _open_shm(_segment_name(arena.root, "k"), create=True, size=64)
         shm.close()
         assert arena.publish("k", bundle()) is True
         np.testing.assert_array_equal(
             arena.attach("k").arrays["acts"], bundle()["acts"]
         )
+
+    def test_registries_sharing_a_key_do_not_share_a_segment(self, tmp_path):
+        # Segment names are host-global: two registries publishing one
+        # key must get two segments, or sweeping the first would unlink
+        # the segment the second still serves.
+        first = OperandArena(tmp_path / "first")
+        second = OperandArena(tmp_path / "second")
+        try:
+            assert first.publish("k", bundle(1)) is True
+            assert second.publish("k", bundle(2)) is True
+            first.release_all()
+            assert first.sweep().segments_removed == 1
+            entry = OperandArena(second.root).attach("k")
+            assert entry is not None
+            for name, arr in bundle(2).items():
+                np.testing.assert_array_equal(entry.arrays[name], arr)
+                assert entry.arrays[name].dtype == arr.dtype
+        finally:
+            for a in (first, second):
+                a.release_all()
+                a.sweep()
 
 
 def _attach_and_hang(root, ready):
@@ -254,6 +275,6 @@ class TestSigkillSafety:
         # re-creatable, which SharedMemory(create=True) proves.
         from repro.engine.arena import _segment_name, _unlink_segment, _open_shm
 
-        probe = _open_shm(_segment_name("k"), create=True, size=16)
+        probe = _open_shm(_segment_name(arena.root, "k"), create=True, size=16)
         probe.close()
-        _unlink_segment(_segment_name("k"))
+        _unlink_segment(_segment_name(arena.root, "k"))

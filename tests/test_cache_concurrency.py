@@ -1,8 +1,7 @@
 """Concurrency and crash-safety tests of the shared result cache.
 
-The serve-mode daemon turned ``ResultCache`` from a per-process
-convenience into a genuinely shared store: several client processes, a
-resident daemon and ad-hoc CLI invocations all read and write one
+``ResultCache`` is a genuinely shared store: pool workers, concurrent
+CLI invocations and ``read-repro cache gc`` all read and write one
 directory tree.  These tests pin the properties that make that safe:
 
 * ``has()`` is a *validated* probe — a zero-byte or truncated entry (a

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from repro.arch import AcceleratorConfig, Dataflow
 from repro.core import MappingStrategy, plan_layer
 from repro.engine import (
+    EngineStats,
     NetworkJob,
     ResultCache,
     SimEngine,
@@ -32,7 +33,6 @@ from repro.engine import (
 )
 from repro.engine import cache as cache_module
 from repro.engine.job import read_npz
-from repro.engine.protocol import decode_result, encode_result
 from repro.errors import ConfigurationError, MappingError, MappingFallbackWarning
 from repro.hw.variations import PAPER_CORNERS, TER_EVAL_CORNER, corner_by_name
 
@@ -294,17 +294,6 @@ class TestOnePassDecode:
         assert set(member_reads) == set(SimJob.serialize_result(result)) | {"__kind__"}
         assert set(member_reads.values()) == {1}
 
-    def test_protocol_decode_reads_each_member_once(self, member_reads):
-        job = make_job(seed=31)
-        result = get_backend("vector").run(job)
-        blob = encode_result(job, result)
-        decoded = decode_result(job, blob)
-        assert set(member_reads) == set(SimJob.serialize_result(result))
-        assert set(member_reads.values()) == {1}
-        _assert_same_arrays(
-            SimJob.serialize_result(decoded), SimJob.serialize_result(result)
-        )
-
 
 class TestResultMemo:
     """``ResultCache.memo``: results served from memory inside one block."""
@@ -480,6 +469,27 @@ class TestScheduler:
     def test_backend_names(self):
         assert {"reference", "vector"} <= set(backend_names())
         assert "fast" not in backend_names()
+
+
+class TestEngineStats:
+    def test_describe_surfaces_arena_errors(self):
+        stats = EngineStats(hits=1, arena_hits=2)
+        assert "error(s)" not in stats.describe()
+        stats.merge({"arena_errors": 3})
+        assert ", 3 error(s)" in stats.describe()
+
+    def test_merge_folds_known_keys_and_ignores_the_rest(self):
+        stats = EngineStats(hits=1)
+        stats.merge({"hits": 2, "trials_deduped": 4, "backend": "vector", "junk": 9})
+        assert stats.hits == 3 and stats.trials_deduped == 4
+
+    def test_snapshot_and_since_cover_every_counter(self):
+        names = list(EngineStats().as_dict())
+        stats = EngineStats(**{name: i for i, name in enumerate(names)})
+        earlier = stats.snapshot()
+        stats.merge({name: 1 for name in names})
+        assert stats.since(earlier).as_dict() == {name: 1 for name in names}
+        assert type(earlier) is EngineStats
 
 
 class TestSimJobValidation:

@@ -12,7 +12,9 @@ import pytest
 from repro.core import MappingStrategy
 from repro.experiments import common, fig2, fig3, fig5, fig7, fig8, fig9, table1
 from repro.experiments.common import SCALES, get_bundle, get_scale, render_table
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, TrainingError
+from repro.nn.layers import BatchNorm2d
+from repro.nn.models import build_model
 
 TINY = SCALES["tiny"]
 
@@ -49,6 +51,31 @@ class TestCommon:
         assert not any(m.training for m in bundle.model.modules())
         # No float test pass: the bundle carries no float accuracy.
         assert not hasattr(bundle, "float_accuracy")
+
+    def test_diverged_training_raises_and_writes_no_snapshot(
+        self, monkeypatch, tmp_path
+    ):
+        monkeypatch.setenv("REPRO_CACHE", str(tmp_path))
+        monkeypatch.setattr(common, "_BUNDLE_CACHE", {})
+
+        def diverge(trainer, *args, **kwargs):
+            next(iter(trainer.model.parameters())).data[...] = np.nan
+
+        monkeypatch.setattr(common.Trainer, "fit", diverge)
+        with pytest.raises(TrainingError, match=r"'vgg16_cifar10' at scale 'micro'"):
+            get_bundle("vgg16_cifar10", SCALES["micro"])
+        assert list(tmp_path.glob("*.npz")) == []
+
+    def test_non_finite_snapshot_load_names_the_file(self, tmp_path):
+        micro = SCALES["micro"]
+        model = build_model("vgg16", n_classes=10, width=micro.width, seed=0)
+        bn = next(m for m in model.modules() if isinstance(m, BatchNorm2d))
+        bn.running_var[0] = np.inf
+        path = tmp_path / "diverged.npz"
+        common.save_model_state(model, path)
+        fresh = build_model("vgg16", n_classes=10, width=micro.width, seed=0)
+        with pytest.raises(TrainingError, match="diverged.npz"):
+            common.load_model_state(fresh, path)
 
     def test_render_table_alignment(self):
         table = render_table(["a", "bb"], [[1, 2.5], ["xyz", 3e-7]])

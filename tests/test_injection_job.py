@@ -390,9 +390,9 @@ class TestColumnarSerialization:
 
     def test_cache_round_trip_through_engine(self, bundle, tmp_path):
         job = make_job(bundle)
-        engine = SimEngine(cache_dir=tmp_path, remote=False)
+        engine = SimEngine(cache_dir=tmp_path)
         fresh = engine.run(job)
-        recalled = SimEngine(cache_dir=tmp_path, remote=False).run(job)
+        recalled = SimEngine(cache_dir=tmp_path).run(job)
         assert recalled == fresh
         assert recalled.trial_accuracies == fresh.trial_accuracies
         assert recalled.trial_correct == fresh.trial_correct

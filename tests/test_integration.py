@@ -151,6 +151,13 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["fig99"])
 
+    @pytest.mark.parametrize("argv", [["serve"], ["ping"], ["fig2", "--socket", "x"]])
+    def test_rejects_daemon_commands(self, argv):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit):
+            main(argv)
+
     def test_cache_gc_accepts_scientific_notation(self, capsys, tmp_path, monkeypatch):
         # The docs advertise `cache gc --max-bytes 2e9`; the parser must
         # take byte bounds as humans write them, not just plain ints.
